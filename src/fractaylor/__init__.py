@@ -5,7 +5,7 @@ space-dependent coefficient from initial data and endpoint derivative
 traces, all in the gamma-normalized power basis.
 """
 
-from .cases import EXAMPLES, exact_classical, example_eigenvalue, example_problem
+from .cases import EXAMPLES, exact_classical, example_problem
 from .forward import ForwardResult, forward_march, residual_check
 from .gammafn import frac_binom, gamma_ratio, log_gamma, ml_power_coeffs
 from .inverse import (
@@ -71,7 +71,6 @@ __all__ = [
     "eval_series",
     "eval_xseries",
     "exact_classical",
-    "example_eigenvalue",
     "example_problem",
     "forward_march",
     "frac_binom",

@@ -20,18 +20,12 @@ from .gammafn import ml_power_coeffs
 from .problem import ProblemSpec, synthesize_boundary
 from .series import FracOrders, TSeries
 
-__all__ = ["EXAMPLES", "example_problem", "example_eigenvalue", "exact_classical"]
+__all__ = ["EXAMPLES", "example_problem", "exact_classical"]
 
 EXAMPLES = (1, 2)
 
 _POWER = {1: 2, 2: 3}
 _EIGENVALUE = {1: 2.0, 2: 1.0}
-
-
-def example_eigenvalue(example: int) -> float:
-    """Time eigenvalue of the separable solution of a built-in case."""
-    _check_example(example)
-    return _EIGENVALUE[example]
 
 
 def example_problem(

@@ -13,7 +13,6 @@ Exit codes: 0 ok, 2 config/validation error, 4 solver non-convergence,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -28,7 +27,7 @@ from .inverse import (
     recover_newton,
     recover_separable,
 )
-from .problem import ConfigError, ProblemSpec, problem_from_config
+from .problem import ConfigError, ProblemSpec, decode_config, problem_from_config
 from .series import (
     BiFracSeries,
     DomainError,
@@ -110,15 +109,7 @@ def _load_config_dict(path: str) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config document must be a JSON object")
-    return cfg
+    return decode_config(text)
 
 
 def _spec_from_args(args, cfg: dict | None = None) -> ProblemSpec:
@@ -142,6 +133,9 @@ def _recover(spec: ProblemSpec, mode: str) -> RecoveryReport:
 
 
 def _cmd_forward(args) -> int:
+    for flag, value in (("--x", args.x), ("--t", args.t)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite real number, got {value}")
     spec = _spec_from_args(args)
     if args.invert:
         report = _recover(spec, args.mode)
@@ -187,10 +181,11 @@ def _cmd_table(args) -> int:
         raise ConfigError(f"--rows must be >= 1, got {args.rows}")
     if not 0.0 <= args.x_eval <= 1.0:
         raise ConfigError(f"--x-eval must lie in [0, 1], got {args.x_eval}")
-    if args.t_step < 0.0:
+    # written so that NaN fails each check
+    if not args.t_step >= 0.0:
         raise ConfigError(f"--t-step must be >= 0, got {args.t_step}")
     ts = [args.t_start + k * args.t_step for k in range(args.rows)]
-    if ts[0] < 0.0 or ts[-1] > 1.0:
+    if not (ts[0] >= 0.0 and ts[-1] <= 1.0):
         raise ConfigError(f"t values must lie in [0, 1], got range [{ts[0]:.6g}, {ts[-1]:.6g}]")
 
     # explicit flags always win; the built-in cases fall back to the table

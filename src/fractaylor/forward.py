@@ -11,25 +11,21 @@ trapezoid by two spatial orders per time step: level i+1 keeps exactly the
 coefficients the given initial data determines, Jmax(i+1) = Jmax(i) - 2.
 
 The march is explicit (no iteration): in self-coupled mode the product term
-at level i uses level i of the solution, which is already known.
-`forward_march` is a pure function; independent instances may run in
-parallel freely.
+at level i uses level i of the solution, which is already known.  The
+convolution is built once, W = `convolution_matrix(p)`, so each step is
+a[i+1] = a[i][2:] + W[:n, :n] @ f[i][:n].  `forward_march` is a pure
+function; independent instances may run in parallel freely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gammafn import frac_binom
+import numpy as np
+
+from .gammafn import convolution_matrix, gamma_table
 from .problem import ProblemSpec
-from .series import (
-    BiFracSeries,
-    TSeries,
-    WidthError,
-    XSeries,
-    deriv_trace_at_one,
-    deriv_trace_at_zero,
-)
+from .series import BiFracSeries, TSeries, WidthError, XSeries, zero_padded
 
 __all__ = ["ForwardResult", "forward_march", "residual_check"]
 
@@ -61,30 +57,25 @@ def forward_march(spec: ProblemSpec, p: XSeries) -> ForwardResult:
             f"{width0 - 2 * spec.nt} spatial orders after nt={spec.nt} steps, need >= 1"
         )
     beta = spec.orders.beta
-    pk = p.coeffs
-    levels: list[tuple[float, ...]] = [spec.phi.coeffs]
-    for i in range(spec.nt):
-        prev = levels[i]
-        f_row = prev if spec.self_coupled else _known_f_row(spec.f_series, i)
-        nxt = []
-        for j in range(len(prev) - 2):
-            acc = prev[j + 2]
-            for k in range(min(j, len(pk) - 1) + 1):
-                if pk[k] != 0.0:
-                    fval = f_row[j - k] if j - k < len(f_row) else 0.0
-                    acc += pk[k] * frac_binom(k, j - k, beta) * fval
-            nxt.append(acc)
-        levels.append(tuple(nxt))
-    u = BiFracSeries(spec.orders, tuple(levels))
+    f = spec.f_series
+    # row i holds level i (width0 + 1 - 2i coefficients), then zeros
+    a = np.zeros((spec.nt + 1, width0 + 1))
+    a[0] = spec.phi.coeffs
+    # an overflowing march leaves inf/nan entries, which BiFracSeries rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = convolution_matrix(p.coeffs, beta, width0 - 1)
+        for i in range(spec.nt):
+            n = width0 - 1 - 2 * i
+            # a known source is zero beyond its truncation
+            f_row = a[i, :n] if f is None else zero_padded(f.levels[i] if i <= f.nt else (), n)
+            a[i + 1, :n] = a[i, 2 : n + 2] + w[:n, :n] @ f_row
+    levels = tuple(tuple(row[: width0 + 1 - 2 * i].tolist()) for i, row in enumerate(a))
+    u = BiFracSeries(spec.orders, levels)
+    # order-beta derivative traces: a[i][1] at x = 0, sum_j a[i][j+1]/Gamma(j*beta+1) at x = 1
     alpha = spec.orders.alpha
-    m1 = TSeries(alpha, tuple(deriv_trace_at_zero(level) for level in levels))
-    m2 = TSeries(alpha, tuple(deriv_trace_at_one(level, beta) for level in levels))
+    m1 = TSeries(alpha, tuple(a[:, 1].tolist()))
+    m2 = TSeries(alpha, tuple((a[:, 1:] @ gamma_table(beta, width0).rgamma[:width0]).tolist()))
     return ForwardResult(u=u, bc_trace_x0=m1, bc_trace_x1=m2)
-
-
-def _known_f_row(f: BiFracSeries, i: int) -> tuple[float, ...]:
-    # missing levels of a known source are zero beyond its truncation
-    return f.levels[i] if i <= f.nt else ()
 
 
 def residual_check(result: ForwardResult, spec: ProblemSpec) -> float:

@@ -2,47 +2,44 @@
 
 Every coefficient manipulated by this package lives in the basis
 x^(j*beta)/Gamma(j*beta+1) (and t^(i*alpha)/Gamma(i*alpha+1) in time), so
-the only special-function machinery needed is the log-gamma function and
-ratios built from it.  All ratios are evaluated in log space: the raw
-quotients Gamma(a)/Gamma(b) overflow double precision once the arguments
-pass ~85, while the truncation depths used here routinely push arguments
-past 100.
+the only special-function values needed are G[n] = ln Gamma(n*beta + 1) on
+the integer grid and ratios built from them.  `gamma_table` computes G with
+the stdlib `math.lgamma` once per (order, width) and caches it with the
+convolution weights B_beta(k, m) = exp(G[k+m] - G[k] - G[m]) and the
+reciprocal gammas exp(-G[n]) of the basis.  Working in log space keeps the
+weights finite although Gamma itself overflows past ~171.
+`convolution_matrix` is the one kernel of the B_beta-weighted product of
+two spatial series: the forward march, the separable solve and the series
+algebra all go through it.
 
-All functions are pure and thread-safe.
+The cached arrays are read-only and all functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
-__all__ = ["log_gamma", "gamma_ratio", "frac_binom", "ml_power_coeffs"]
+import numpy as np
 
-# Lanczos approximation, g = 607/128, 15 terms (Godfrey's coefficient set).
-# Absolute accuracy is ~2 ulp of the dominant term on [1, 200]; relative
-# accuracy is below 1e-13 everywhere except inside a ~0.02-wide window
-# around the two zeros of ln Gamma at a = 1 and a = 2, where the error is
-# instead bounded absolutely by ~5e-15 (no fixed-precision expansion does
-# better without a zero-centered series).  The integer zeros themselves
-# are returned exactly.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+__all__ = [
+    "GammaTable", "log_gamma", "gamma_ratio", "frac_binom", "gamma_table",
+    "convolution_matrix", "ml_power_coeffs",
+]
+
+# tables are built for widths rounded up to a multiple of this, so problems
+# of nearby sizes share one cache entry
+_WIDTH_STEP = 32
+
+
+class GammaTable(NamedTuple):
+    """Read-only grid of one order: lg[n] = ln Gamma(n*beta + 1) for n < 2*width - 1,
+    binom[k, m] = B_beta(k, m) for k, m < width, rgamma[n] = 1/Gamma(n*beta + 1)."""
+
+    lg: np.ndarray
+    binom: np.ndarray
+    rgamma: np.ndarray
 
 
 def log_gamma(a: float) -> float:
@@ -52,16 +49,9 @@ def log_gamma(a: float) -> float:
         ValueError: if a <= 0 (negative arguments never arise in this
             package: every argument has the form k*beta + 1 with k >= 0).
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"log_gamma requires a positive argument, got {a}")
-    if a == 1.0 or a == 2.0:
-        return 0.0
-    z = a - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(a)
 
 
 def gamma_ratio(a: float, b: float) -> float:
@@ -73,6 +63,29 @@ def gamma_ratio(a: float, b: float) -> float:
     return math.exp(log_gamma(a) - log_gamma(b))
 
 
+def gamma_table(beta: float, width: int) -> GammaTable:
+    """The cached gamma grid of order beta, covering at least ``width`` indices."""
+    _check_order(beta)
+    return _build_table(float(beta), -(-max(width, 1) // _WIDTH_STEP) * _WIDTH_STEP)
+
+
+@lru_cache(maxsize=16)
+def _build_table(beta: float, width: int) -> GammaTable:
+    lgs = [math.lgamma(n * beta + 1.0) for n in range(2 * width - 1)]
+    lg = np.array(lgs)
+    # row by row keeps the peak memory small; summing the subtracted logs
+    # first keeps the table exactly symmetric; past width ~500 weights are inf
+    binom = np.empty((width, width))
+    for k in range(width):
+        binom[k] = lg[k : k + width] - (lg[k] + lg[:width])
+    with np.errstate(over="ignore"):
+        np.exp(binom, out=binom)
+    rgamma = np.array([math.exp(-v) for v in lgs[:width]])
+    for array in (lg, binom, rgamma):
+        array.flags.writeable = False
+    return GammaTable(lg, binom, rgamma)
+
+
 def frac_binom(k: int, m: int, beta: float) -> float:
     """Return the fractional binomial factor B_beta(k, m).
 
@@ -82,16 +95,30 @@ def frac_binom(k: int, m: int, beta: float) -> float:
     normalized basis are multiplied: the product of x^(k*beta)/Gamma(k*beta+1)
     and x^(m*beta)/Gamma(m*beta+1) equals B_beta(k, m) times the normalized
     basis element of order k+m.  At beta = 1 it reduces to the ordinary
-    binomial coefficient C(k+m, k).
+    binomial coefficient C(k+m, k).  The value is read from `gamma_table`.
     """
     if k < 0 or m < 0:
         raise ValueError(f"frac_binom requires k, m >= 0, got k={k}, m={m}")
-    _check_order(beta)
-    # grouping the subtracted logs keeps the value exactly symmetric in (k, m)
-    return math.exp(
-        log_gamma((k + m) * beta + 1.0)
-        - (log_gamma(k * beta + 1.0) + log_gamma(m * beta + 1.0))
-    )
+    return float(gamma_table(beta, k + m + 1).binom[k, m])
+
+
+def convolution_matrix(q: Sequence[float], beta: float, n: int) -> np.ndarray:
+    """Matrix of the B_beta-weighted product with the spatial series q.
+
+    W[j, m] = q_{j-m} * B_beta(j-m, m) for 0 <= j - m < len(q), else 0, so
+    (W @ f)[j] = sum_k q_k * B_beta(k, j-k) * f[j-k] for j < n: the product
+    q*f truncated at index n - 1.  B_beta is symmetric, so the matrix of f
+    applied to q gives the same product.  Overflowing weights become inf
+    without a warning; callers reject non-finite results.
+    """
+    binom = gamma_table(beta, n).binom
+    w = np.zeros((n, n))
+    flat = w.reshape(-1)  # flat[k*n + m*(n+1)] is W[m + k, m], the k-th subdiagonal
+    with np.errstate(over="ignore"):
+        for k, qk in enumerate(q[:n]):
+            if qk != 0.0:
+                flat[k * n :: n + 1] = qk * binom[k, : n - k]
+    return w
 
 
 def ml_power_coeffs(beta: float, m: int, jmax: int):
@@ -109,12 +136,10 @@ def ml_power_coeffs(beta: float, m: int, jmax: int):
         raise ValueError(f"ml_power_coeffs requires jmax >= 0, got {jmax}")
     from .series import XSeries  # deferred: series imports this module
 
-    coeffs = [0.0] * (jmax + 1)
-    j = 0
-    while m * j <= jmax:
-        coeffs[m * j] = math.exp(log_gamma(m * j * beta + 1.0) - log_gamma(j * beta + 1.0))
-        j += 1
-    return XSeries(beta=beta, coeffs=tuple(coeffs))
+    lg = gamma_table(beta, jmax + 1).lg
+    coeffs = np.zeros(jmax + 1)
+    coeffs[::m] = np.exp(lg[: jmax + 1 : m] - lg[: jmax // m + 1])
+    return XSeries(beta=beta, coeffs=tuple(coeffs.tolist()))
 
 
 def _check_order(beta: float) -> None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import forward_march, residual_check
-from .gammafn import frac_binom
+from .gammafn import convolution_matrix
 from .problem import ProblemSpec
 from .series import WidthError, XSeries
 
@@ -102,14 +102,14 @@ def recover_separable(
             f"phi width {len(phi) - 1} too small for the triangular solve up to kmax={kmax}"
         )
     beta = spec.orders.beta
-    p = []
-    for m in range(kmax + 1):
-        acc = lam * phi[m] - phi[m + 2]
-        for k in range(m):
-            if p[k] != 0.0:
-                acc -= p[k] * frac_binom(k, m - k, beta) * phi[m - k]
-        p.append(acc / phi[0])
-    p_series = XSeries(beta, tuple(p))
+    n = kmax + 1
+    # row m of the product matrix of phi holds B_beta(k, m-k) phi_{m-k}
+    # (B_beta is symmetric): lower triangular with phi_0 on the diagonal
+    a = convolution_matrix(phi, beta, n)
+    p = np.zeros(n)
+    for m in range(n):
+        p[m] = (lam * phi[m] - phi[m + 2] - a[m, :m] @ p[:m]) / phi[0]
+    p_series = XSeries(beta, tuple(p.tolist()))
 
     residual = residual_check(forward_march(spec, p_series), spec)
     return RecoveryReport(

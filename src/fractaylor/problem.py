@@ -43,6 +43,7 @@ __all__ = [
     "ProblemSpec",
     "synthesize_boundary",
     "parse_problem",
+    "decode_config",
     "problem_from_config",
 ]
 
@@ -169,13 +170,18 @@ def parse_problem(text: str) -> ProblemSpec:
     unknown or missing fields, or violated invariants.  There are no
     silent defaults: alpha, beta, nt, nx and kmax must all be present.
     """
+    return problem_from_config(decode_config(text))
+
+
+def decode_config(text: str) -> dict:
+    """Decode a JSON config document, which must hold one JSON object."""
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config document must be a JSON object")
-    return problem_from_config(cfg)
+    return cfg
 
 
 def problem_from_config(cfg: dict) -> ProblemSpec:
@@ -269,6 +275,8 @@ def _generator(raw, field: str, allowed: tuple[str, ...]) -> GeneratorSpec:
             lam = raw.get("lambda")
             if not isinstance(lam, (int, float)) or isinstance(lam, bool):
                 raise ConfigError(f"{field}.lambda must be a real number, got {lam!r}")
+            if not math.isfinite(lam):
+                raise ConfigError(f"{field}.lambda must be finite, got {lam!r}")
             return GeneratorSpec("separable", lam=float(lam))
         if kind == "coeffs":
             values = raw.get("values")

@@ -9,7 +9,8 @@ a[i][j] with the meaning
 for fractional orders 0 < alpha, beta <= 1.  Working in this *normalized*
 basis (rather than with bare coefficients of t^(i*alpha) x^(j*beta)) makes
 both Caputo derivative operators pure index shifts and turns multiplication
-by a spatial series into a convolution weighted by `frac_binom`.  The bare
+by a spatial series into a convolution weighted by B_beta (the kernel
+`gammafn.convolution_matrix`).  The bare
 ("raw") coefficients exist only at the conversion boundary provided by
 `raw_from_normalized`/`normalized_from_raw`.
 
@@ -23,7 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .gammafn import frac_binom, log_gamma
+import numpy as np
+
+from .gammafn import convolution_matrix, gamma_table
 
 __all__ = [
     "DomainError",
@@ -150,39 +153,28 @@ class BiFracSeries:
 
 def eval_xseries(q: XSeries, x: float) -> float:
     """Evaluate a spatial series at x >= 0 (with the convention 0**0 = 1)."""
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"fractional powers need x >= 0, got {x}")
-    total = 0.0
-    for j, c in enumerate(q.coeffs):
-        if c != 0.0:
-            total += c * x ** (j * q.beta) * math.exp(-log_gamma(j * q.beta + 1.0))
-    return total
+    return float(np.dot(q.coeffs, _basis(q.beta, x, len(q))))
 
 
 def eval_series(s: BiFracSeries, x: float, t: float) -> float:
     """Evaluate the truncated series at a point with x, t >= 0.
 
-    Python's ``0.0 ** 0.0 == 1.0`` supplies the 0**0 = 1 convention needed
+    numpy's ``0.0 ** 0.0 == 1.0`` supplies the 0**0 = 1 convention needed
     for the constant term on the coordinate axes.
     """
-    if x < 0.0 or t < 0.0:
+    if not (x >= 0.0 and t >= 0.0):
         raise DomainError(f"fractional powers need x, t >= 0, got x={x}, t={t}")
-    alpha, beta = s.orders.alpha, s.orders.beta
-    xbasis = [
-        x ** (j * beta) * math.exp(-log_gamma(j * beta + 1.0))
-        for j in range(max(len(level) for level in s.levels))
-    ]
-    total = 0.0
-    for i, level in enumerate(s.levels):
-        tbasis = t ** (i * alpha) * math.exp(-log_gamma(i * alpha + 1.0))
-        if tbasis == 0.0:
-            continue
-        level_sum = 0.0
-        for j, c in enumerate(level):
-            if c != 0.0:
-                level_sum += c * xbasis[j]
-        total += tbasis * level_sum
-    return total
+    xbasis = _basis(s.orders.beta, x, max(len(level) for level in s.levels))
+    tbasis = _basis(s.orders.alpha, t, len(s.levels))
+    return float(sum(tb * np.dot(level, xbasis[: len(level)])
+                     for tb, level in zip(tbasis, s.levels)))
+
+
+def _basis(order: float, x: float, n: int) -> np.ndarray:
+    """Normalized basis values x^(j*order)/Gamma(j*order+1) for j < n."""
+    return x ** (np.arange(n) * order) * gamma_table(order, n).rgamma[:n]
 
 
 def dt_shift(s: BiFracSeries, r: int) -> BiFracSeries:
@@ -235,19 +227,10 @@ def mul_x(s: BiFracSeries, q: XSeries, jcap: int) -> BiFracSeries:
         raise WidthError(
             f"jcap={jcap} exceeds stored width {s.width(narrow[0])} at level {narrow[0]}"
         )
-    beta = s.orders.beta
-    out = []
-    for level in s.levels:
-        row = []
-        for j in range(jcap + 1):
-            acc = 0.0
-            for k in range(min(j, len(q.coeffs) - 1) + 1):
-                qk = q.coeffs[k]
-                if qk != 0.0:
-                    acc += qk * frac_binom(k, j - k, beta) * level[j - k]
-            row.append(acc)
-        out.append(tuple(row))
-    return BiFracSeries(s.orders, tuple(out))
+    w = convolution_matrix(q.coeffs, s.orders.beta, jcap + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array([level[: jcap + 1] for level in s.levels]) @ w.T
+    return BiFracSeries(s.orders, tuple(tuple(row) for row in out.tolist()))
 
 
 def add(a: BiFracSeries, b: BiFracSeries) -> BiFracSeries:
@@ -280,31 +263,28 @@ def convolve_x(q1: XSeries, q2: XSeries, jcap: int) -> XSeries:
         raise DomainError("cannot convolve spatial series with different beta")
     if jcap < 0:
         raise ValueError(f"jcap must be >= 0, got {jcap}")
-    beta = q1.beta
-    out = []
-    for j in range(jcap + 1):
-        acc = 0.0
-        for k in range(min(j, len(q1.coeffs) - 1) + 1):
-            c1 = q1.coeffs[k]
-            if c1 != 0.0 and j - k < len(q2.coeffs):
-                acc += c1 * frac_binom(k, j - k, beta) * q2.coeffs[j - k]
-        out.append(acc)
-    return XSeries(beta, tuple(out))
+    w = convolution_matrix(q1.coeffs, q1.beta, jcap + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = w @ zero_padded(q2.coeffs, jcap + 1)
+    return XSeries(q1.beta, tuple(out.tolist()))
+
+
+def zero_padded(values: Sequence[float], n: int) -> np.ndarray:
+    """The first n entries of values as an array, zero-filled past its end."""
+    out = np.zeros(n)
+    out[: min(n, len(values))] = values[:n]
+    return out
 
 
 def raw_from_normalized(s: BiFracSeries) -> dict[tuple[int, int], float]:
     """Bare power-basis coefficients g[i,j] of t^(i*alpha) x^(j*beta).
 
     g[i,j] = a[i][j] / (Gamma(i*alpha+1) * Gamma(j*beta+1)); the inverse
-    conversion multiplies by the same factors.
+    conversion divides by the same factor.
     """
-    alpha, beta = s.orders.alpha, s.orders.beta
-    raw: dict[tuple[int, int], float] = {}
-    for i, level in enumerate(s.levels):
-        tfac = log_gamma(i * alpha + 1.0)
-        for j, c in enumerate(level):
-            raw[(i, j)] = c * math.exp(-tfac - log_gamma(j * beta + 1.0))
-    return raw
+    rt, rx = _rgammas(s.orders, len(s.levels), max(len(level) for level in s.levels))
+    return {(i, j): c * (rt[i] * rx[j])
+            for i, level in enumerate(s.levels) for j, c in enumerate(level)}
 
 
 def normalized_from_raw(
@@ -314,18 +294,18 @@ def normalized_from_raw(
     if not raw:
         raise ValueError("raw coefficient map is empty")
     nt = max(i for i, _ in raw)
-    levels = []
-    for i in range(nt + 1):
-        width = max((j for k, j in raw if k == i), default=0)
-        tfac = log_gamma(i * orders.alpha + 1.0)
-        levels.append(
-            tuple(
-                raw.get((i, j), 0.0)
-                * math.exp(tfac + log_gamma(j * orders.beta + 1.0))
-                for j in range(width + 1)
-            )
-        )
-    return BiFracSeries(orders, tuple(levels))
+    widths = [max((j for k, j in raw if k == i), default=0) for i in range(nt + 1)]
+    rt, rx = _rgammas(orders, nt + 1, max(widths) + 1)
+    return BiFracSeries(orders, tuple(
+        tuple(raw.get((i, j), 0.0) / (rt[i] * rx[j]) for j in range(width + 1))
+        for i, width in enumerate(widths)
+    ))
+
+
+def _rgammas(orders: FracOrders, nlevels: int, width: int) -> tuple[list[float], list[float]]:
+    """1/Gamma(i*alpha+1) for i < nlevels and 1/Gamma(j*beta+1) for j < width."""
+    return (gamma_table(orders.alpha, nlevels).rgamma.tolist(),
+            gamma_table(orders.beta, width).rgamma.tolist())
 
 
 def deriv_trace_at_zero(coeffs: Sequence[float]) -> float:
@@ -342,7 +322,5 @@ def deriv_trace_at_one(coeffs: Sequence[float], beta: float) -> float:
     """Value at x = 1 of the order-beta derivative of a spatial sequence."""
     if len(coeffs) < 2:
         raise WidthError("need width >= 1 to take a derivative trace")
-    return sum(
-        coeffs[j + 1] * math.exp(-log_gamma(j * beta + 1.0))
-        for j in range(len(coeffs) - 1)
-    )
+    n = len(coeffs) - 1
+    return float(np.dot(coeffs[1:], gamma_table(beta, n).rgamma[:n]))

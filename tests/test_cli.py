@@ -263,6 +263,40 @@ def test_table_validation_errors(tmp_path, capsys):
     assert code == 2 and "[0, 1]" in err
 
 
+def assert_one_line_config_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+
+
+def test_nan_lambda_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, mu2={"kind": "separable", "lambda": math.nan})
+    assert "NaN" in open(cfg).read()
+    assert_one_line_config_error(*run(capsys, "invert", "--config", cfg))
+
+
+def test_forward_rejects_nan_x(tmp_path, capsys):
+    cfg = write_config(tmp_path, p={"kind": "coeffs", "values": [0.0, 0.0, -8.0]})
+    assert_one_line_config_error(
+        *run(capsys, "forward", "--config", cfg, "--x", "nan", "--t", "0.1")
+    )
+
+
+def test_forward_rejects_infinite_t(tmp_path, capsys):
+    cfg = write_config(tmp_path, p={"kind": "coeffs", "values": [0.0, 0.0, -8.0]})
+    assert_one_line_config_error(
+        *run(capsys, "forward", "--config", cfg, "--x", "0.5", "--t", "inf")
+    )
+
+
+def test_table_rejects_nan_t_start(capsys):
+    assert_one_line_config_error(*run(capsys, "table", "--example", "1", "--t-start", "nan"))
+
+
+def test_table_rejects_nan_t_step(capsys):
+    assert_one_line_config_error(*run(capsys, "table", "--example", "1", "--t-step", "nan"))
+
+
 def test_table_requires_example_or_config(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table"])

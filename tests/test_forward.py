@@ -2,7 +2,9 @@
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from fractaylor import (
@@ -151,6 +153,20 @@ def test_residual_check_rejects_empty_overlap():
     result = forward_march(spec, XSeries(1.0, (0.0,)))
     with pytest.raises(ValueError, match="usable"):
         residual_check(result, spec)
+
+
+def test_overflowing_march_raises_value_error_without_warnings():
+    from fractaylor.inverse import _trace_mismatch
+
+    spec = example_problem(1, 0.7, 0.7, nt=4, nx=4, kmax=2)
+    p = (1e300, -1e300, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            forward_march(spec, XSeries(0.7, p))
+        # the Newton residual turns the same failure into an inf mismatch
+        r = _trace_mismatch(spec, np.array(p), 3, np.ones(6))
+    assert np.all(np.isinf(r))
 
 
 def test_trapezoid_collapse_raises():

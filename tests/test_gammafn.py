@@ -1,7 +1,7 @@
 """Gamma arithmetic against independent references.
 
-Oracles: scipy's gammaln (a different implementation family than the
-package's Lanczos expansion), exact factorials/binomials, and the
+Oracles: scipy's gammaln (an implementation independent of the stdlib
+math.lgamma the package uses), exact factorials/binomials, and the
 half-integer closed form Gamma(3/2) = sqrt(pi)/2.
 """
 
@@ -28,7 +28,7 @@ def test_log_gamma_half_integer_closed_form():
 
 def test_log_gamma_accuracy_grid():
     # relative accuracy away from the two zeros of ln Gamma, absolute next
-    # to them (see the module comment on the Lanczos expansion)
+    # to them, where no relative bound is meaningful
     for a in np.linspace(1.0, 200.0, 20011):
         ref = float(gammaln(a))
         err = abs(log_gamma(float(a)) - ref)
