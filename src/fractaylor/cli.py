@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .cases import EXAMPLES, exact_classical, example_problem
@@ -53,7 +54,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was, so one tree serves every call
     parser = argparse.ArgumentParser(
         prog="fractaylor",
         description="Fractional Taylor series solver for space-time fractional diffusion",
@@ -142,12 +145,11 @@ def _cmd_forward(args) -> int:
         if report.mode == "newton" and not report.converged:
             print("inversion did not converge; rerun `invert` for diagnostics", file=sys.stderr)
             return 4
-        p = report.p
+        result = report.solution
     elif spec.p_known is not None:
-        p = spec.p_known
+        result = forward_march(spec, spec.p_known)
     else:
         raise ConfigError("config carries no p; pass --invert to recover it from the data")
-    result = forward_march(spec, p)
     value = eval_series(result.u, args.x, args.t)
     print(f"{value:.8g}")
     return 0
@@ -204,8 +206,7 @@ def _cmd_table(args) -> int:
             patched = dict(cfg)
             patched.update(alpha=alpha, beta=beta, **overrides)
             spec = problem_from_config(patched)
-        report = _recover(spec, "auto")
-        return forward_march(spec, report.p).u
+        return _recover(spec, "auto").solution.u
 
     if args.example is not None:
         exact = [exact_classical(args.example, args.x_eval, t) for t in ts]
@@ -317,8 +318,7 @@ def _check_case(example: int, expected: tuple[float, ...]) -> str:
 
 def _check_forward_accuracy() -> str:
     spec = example_problem(1, 1.0, 1.0, nt=12, nx=12, kmax=2)
-    report = recover_separable(spec)
-    u = forward_march(spec, report.p).u
+    u = recover_separable(spec).solution.u
     err = abs(eval_series(u, 0.5, 0.05) - math.exp(0.35))
     if err > 1e-5:
         raise AssertionError(f"forward value off by {err:.2e}")
@@ -332,7 +332,7 @@ def _check_fractional_consistency() -> str:
     report = recover_separable(spec)
     if report.forward_residual > 1e-9:
         raise AssertionError(f"forward residual {report.forward_residual:.2e}")
-    u = forward_march(spec, report.p).u
+    u = report.solution.u
     worst = max(
         abs(u.levels[1][j] - report.lam * u.levels[0][j]) / max(1.0, abs(u.levels[0][j]))
         for j in range(u.width(1) + 1)

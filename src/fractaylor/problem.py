@@ -151,6 +151,9 @@ def synthesize_boundary(
     c = sum_j phi_{j+1}/Gamma(j*beta+1) at x = 1.  The constant uses the
     current truncation width of phi, keeping the data consistent with the
     truncated forward model rather than with an analytic limit.
+
+    Raises:
+        ValueError: if a term overflows the float range.
     """
     if nt < 0:
         raise ValueError(f"nt must be >= 0, got {nt}")
@@ -160,7 +163,13 @@ def synthesize_boundary(
         c = deriv_trace_at_one(phi.coeffs, phi.beta)
     else:
         raise ValueError(f"at must be 'x0' or 'x1', got {at!r}")
-    return TSeries(alpha, tuple(lam**i * c for i in range(nt + 1)))
+    try:
+        values = tuple(lam**i * c for i in range(nt + 1))
+    except OverflowError:  # lam**i itself; an overflowing product is inf instead
+        values = (math.inf,)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"lambda = {lam:g} overflows the trace sequence within nt = {nt} levels")
+    return TSeries(alpha, values)
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -209,10 +218,8 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     else:
         phi = XSeries(beta, phi_gen.values)
 
-    mu1 = _expand_mu(_generator(cfg["mu1"], "mu1", allowed=("zero", "separable", "coeffs")),
-                     phi, alpha, nt, "x0")
-    mu2 = _expand_mu(_generator(cfg["mu2"], "mu2", allowed=("zero", "separable", "coeffs")),
-                     phi, alpha, nt, "x1")
+    mu1 = _expand_mu(cfg, "mu1", phi, alpha, nt, "x0")
+    mu2 = _expand_mu(cfg, "mu2", phi, alpha, nt, "x1")
 
     f_series = _parse_f(cfg["f"], orders)
 
@@ -227,11 +234,15 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     )
 
 
-def _expand_mu(gen: GeneratorSpec, phi: XSeries, alpha: float, nt: int, at: str) -> TSeries:
+def _expand_mu(cfg: dict, field: str, phi: XSeries, alpha: float, nt: int, at: str) -> TSeries:
+    gen = _generator(cfg[field], field, allowed=("zero", "separable", "coeffs"))
     if gen.kind == "zero":
         return TSeries(alpha, (0.0,) * (nt + 1))
     if gen.kind == "separable":
-        return synthesize_boundary(phi, gen.lam, nt, at, alpha)
+        try:
+            return synthesize_boundary(phi, gen.lam, nt, at, alpha)
+        except ValueError as exc:
+            raise ConfigError(f"{field}: {exc}") from exc
     return TSeries(alpha, gen.values)
 
 

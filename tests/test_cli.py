@@ -275,6 +275,20 @@ def test_nan_lambda_is_config_error(tmp_path, capsys):
     assert_one_line_config_error(*run(capsys, "invert", "--config", cfg))
 
 
+def test_overflowing_lambda_power_is_config_error(tmp_path, capsys):
+    # lambda**6 is past the float range
+    cfg = write_config(tmp_path, mu2={"kind": "separable", "lambda": 1e300})
+    assert_one_line_config_error(*run(capsys, "invert", "--config", cfg))
+
+
+def test_overflowing_lambda_product_is_config_error(tmp_path, capsys):
+    # lambda**2 is finite, the trace sequence entry lambda**2 * c is not
+    cfg = write_config(tmp_path, nt=2, mu2={"kind": "separable", "lambda": 1.3e154})
+    assert_one_line_config_error(
+        *run(capsys, "forward", "--config", cfg, "--x", "0.5", "--t", "0.1", "--invert")
+    )
+
+
 def test_forward_rejects_nan_x(tmp_path, capsys):
     cfg = write_config(tmp_path, p={"kind": "coeffs", "values": [0.0, 0.0, -8.0]})
     assert_one_line_config_error(
@@ -301,6 +315,43 @@ def test_table_requires_example_or_config(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table"])
     assert exc.value.code == 2
+
+
+def test_repeated_calls_behave_like_fresh_ones(tmp_path, capsys, monkeypatch):
+    from fractaylor.cli import _build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
+    cfg = write_config(tmp_path)
+    calls = (
+        ["table", "--example", "1", "--rows", "2"],
+        ["table", "--rows", "x"],  # argparse rejects it: exit 2
+        ["invert", "--config", cfg],
+        ["forward", "--config", cfg, "--x", "0.5", "--t", "0.1", "--invert", "--nx", "12"],
+        ["table", "--example", "2", "--rows", "2", "--format", "text"],
+        ["invert", "--help"],
+        ["selfcheck"],
+    )
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert fresh[1][0] == 2 and "invalid int value" in fresh[1][2]
+    assert [result[0] for result in fresh] == [0, 2, 0, 0, 0, 0, 0]
+    # one parser serves every call, twice through the list
+    parser = _build_parser()
+    for _ in range(2):
+        for argv, want in zip(calls, fresh):
+            assert call(argv) == want, argv
+    assert _build_parser() is parser
 
 
 # --- selfcheck --------------------------------------------------------------

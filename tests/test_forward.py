@@ -193,3 +193,75 @@ def test_traces_match_definitions():
     # level-0 trace at x = 1 equals the synthesized constant exactly
     synth = synthesize_boundary(spec.phi, 2.0, 0, "x1", alpha=1.0)
     assert result.bc_trace_x1.coeffs[0] == synth.coeffs[0]
+
+
+def mp_traces(spec, p):
+    """Both endpoint traces of every level, marched in mpmath at the working precision.
+
+    Returns [x = 0 traces, x = 1 traces], each with nt + 1 entries.
+    """
+    import mpmath
+
+    b = mpmath.mpf(spec.orders.beta)
+    lg = [mpmath.loggamma(n * b + 1) for n in range(len(spec.phi))]
+    level = [mpmath.mpf(v) for v in spec.phi.coeffs]
+    x0, x1 = [], []
+    for i in range(spec.nt + 1):
+        x0.append(level[1])
+        x1.append(mpmath.fsum(level[j + 1] * mpmath.exp(-lg[j]) for j in range(len(level) - 1)))
+        if i == spec.nt:
+            break
+        if spec.f_series is None:
+            f = level
+        else:
+            row = spec.f_series.levels[i] if i <= spec.f_series.nt else ()
+            f = [mpmath.mpf(row[j]) if j < len(row) else 0 for j in range(len(level))]
+        level = [
+            level[j + 2] + mpmath.fsum(
+                p[k] * mpmath.exp(lg[j] - lg[k] - lg[j - k]) * f[j - k]
+                for k in range(min(j, len(p) - 1) + 1)
+            )
+            for j in range(len(level) - 2)
+        ]
+    return [x0, x1]
+
+
+@pytest.mark.parametrize("source", ["self", "known"])
+@pytest.mark.parametrize("beta", [1.0, 0.7])
+def test_tangent_jacobian_matches_mpmath_differences(beta, source):
+    # the traces are polynomials in p, so a 50-digit difference quotient
+    # with step 1e-25 is the derivative to about 25 digits
+    mpmath = pytest.importorskip("mpmath")
+    from fractaylor.forward import march_arrays
+
+    rng = random.Random(f"tangent:{beta}:{source}")
+    for kmax in range(5):
+        nt, nx = kmax + 2, max(kmax, 4)
+        base = example_problem(1, 1.0, beta, nt=nt, nx=nx, kmax=kmax)
+        f = None
+        if source == "known":
+            # rows shorter than their level, and no row for the last step
+            f = BiFracSeries(base.orders, tuple(
+                tuple(rng.uniform(-1.0, 1.0) for _ in range(len(base.phi) - 3 * i))
+                for i in range(nt - 1)
+            ))
+        spec = ProblemSpec(base.orders, nt=nt, nx=nx, kmax=kmax, phi=base.phi,
+                           mu1=base.mu1, mu2=base.mu2, f_series=f)
+        p = [rng.uniform(-5.0, 5.0) for _ in range(kmax + 1)]
+        _, _, jac = march_arrays(spec, np.array(p), tangent=True)
+        assert jac.shape == (2, nt + 1, kmax + 1)
+        with mpmath.workdps(50):
+            h = mpmath.mpf("1e-25")
+            at_p = mp_traces(spec, [mpmath.mpf(v) for v in p])
+            for k in range(kmax + 1):
+                bumped = [mpmath.mpf(v) for v in p]
+                bumped[k] += h
+                at_bumped = mp_traces(spec, bumped)
+                column = [
+                    float((at_bumped[e][i] - at_p[e][i]) / h)
+                    for e in range(2) for i in range(nt + 1)
+                ]
+                scale = max(abs(v) for v in column)
+                got = jac[:, :, k].reshape(-1)
+                worst = max(abs(g - r) for g, r in zip(got, column))
+                assert worst <= 1e-10 * scale, (kmax, k, worst, scale)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractaylor import (
+    BiFracSeries,
     DegenerateData,
     NotSeparable,
     ProblemSpec,
@@ -233,3 +234,60 @@ def test_healthy_roundtrip_is_full_rank():
     report = recover_newton(spec)
     assert report.converged
     assert not report.rank_deficient
+
+
+def known_source_roundtrip_spec(beta, pstar, nt, nx, rng):
+    """Roundtrip data for a known source f drawn from rng."""
+    base = example_problem(1, 1.0, beta, nt=nt, nx=nx, kmax=len(pstar) - 1)
+    f = BiFracSeries(base.orders, tuple(
+        tuple(rng.uniform(-1.0, 1.0) for _ in range(len(base.phi) - 2 * i))
+        for i in range(nt + 1)
+    ))
+    spec = ProblemSpec(base.orders, nt=nt, nx=nx, kmax=len(pstar) - 1, phi=base.phi,
+                       mu1=base.mu1, mu2=base.mu2, f_series=f)
+    data = forward_march(spec, XSeries(beta, pstar))
+    return ProblemSpec(spec.orders, nt=nt, nx=nx, kmax=spec.kmax, phi=spec.phi,
+                       mu1=data.bc_trace_x0, mu2=data.bc_trace_x1, f_series=f)
+
+
+def test_newton_residual_and_jacobian_come_from_one_march():
+    from fractaylor.inverse import _linearize, _trace_mismatch
+
+    rng = np.random.default_rng(77)
+    for trial in range(6):
+        beta = (1.0, 0.7)[trial % 2]
+        kmax = trial % 5
+        pstar = tuple(float(v) for v in rng.uniform(-5, 5, kmax + 1))
+        nt, nx = kmax + 2, max(kmax, 4)
+        if trial % 3 == 2:
+            spec = known_source_roundtrip_spec(beta, pstar, nt, nx, random.Random(trial))
+        else:
+            spec = roundtrip_spec(beta, pstar, nt, nx)
+        p = rng.uniform(-5, 5, kmax + 1)
+        for depth in range(1, nt + 1):
+            weights = rng.uniform(0.1, 1.0, 2 * depth)
+            r, jac = _linearize(spec, p, depth, weights)
+            assert np.array_equal(r, _trace_mismatch(spec, p, depth, weights))
+            assert jac.shape == (2 * depth, kmax + 1)
+    # an overflowing march: inf from both, with an inf Jacobian
+    spec = example_problem(1, 0.7, 0.7, nt=4, nx=4, kmax=2)
+    p = np.array([1e300, -1e300, 1e300])
+    r, jac = _linearize(spec, p, 2, np.ones(4))
+    assert np.all(np.isinf(r)) and np.all(np.isinf(jac))
+    assert np.array_equal(r, _trace_mismatch(spec, p, 2, np.ones(4)))
+
+
+def test_newton_known_source_is_one_step():
+    # the march is affine in p for a known source, so with the exact
+    # Jacobian one Gauss-Newton step solves it
+    rng = random.Random(2024)
+    for kmax in range(5):
+        for beta in (1.0, 0.7):
+            pstar = tuple(rng.uniform(-5.0, 5.0) for _ in range(kmax + 1))
+            spec = known_source_roundtrip_spec(beta, pstar, kmax + 2, max(kmax, 4), rng)
+            report = recover_newton(spec)
+            assert report.converged
+            assert report.iterations <= 1
+            assert not report.rank_deficient
+            worst = max(abs(a - b) for a, b in zip(report.p.coeffs, pstar))
+            assert worst <= 1e-7, (kmax, beta, worst)
