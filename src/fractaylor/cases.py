@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .gammafn import ml_power_coeffs
-from .problem import ProblemSpec, synthesize_boundary
+from .problem import ConfigError, ProblemSpec, check_width, synthesize_boundary
 from .series import FracOrders, TSeries
 
 __all__ = ["EXAMPLES", "example_problem", "exact_classical"]
@@ -31,11 +31,20 @@ _EIGENVALUE = {1: 2.0, 2: 1.0}
 def example_problem(
     example: int, alpha: float, beta: float, nt: int, nx: int, kmax: int
 ) -> ProblemSpec:
-    """Materialize a built-in case at the given orders and truncation sizes."""
+    """Materialize a built-in case at the given orders and truncation sizes.
+
+    Raises:
+        ConfigError: if the sizes are invalid or past `MAX_WIDTH`, or the
+            initial data or its trace sequence overflows the float range.
+    """
     _check_example(example)
-    phi = ml_power_coeffs(beta, _POWER[example], nx + 2 * nt)
+    check_width("nx + 2*nt + 1", nx + 2 * nt + 1)
+    try:
+        phi = ml_power_coeffs(beta, _POWER[example], nx + 2 * nt)
+        mu2 = synthesize_boundary(phi, _EIGENVALUE[example], nt, "x1", alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     mu1 = TSeries(alpha, (0.0,) * (nt + 1))
-    mu2 = synthesize_boundary(phi, _EIGENVALUE[example], nt, "x1", alpha)
     return ProblemSpec(
         orders=FracOrders(alpha, beta),
         nt=nt, nx=nx, kmax=kmax,

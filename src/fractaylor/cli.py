@@ -18,8 +18,10 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 from .cases import EXAMPLES, exact_classical, example_problem
-from .forward import forward_march
+from .forward import MarchOverflow, forward_march
 from .gammafn import frac_binom, gamma_ratio, log_gamma
 from .inverse import (
     DegenerateData,
@@ -46,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, MarchOverflow) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NotSeparable, DegenerateData, DomainError, WidthError) as exc:
@@ -211,14 +213,13 @@ def _cmd_table(args) -> int:
     if args.example is not None:
         exact = [exact_classical(args.example, args.x_eval, t) for t in ts]
     else:
-        u_ref = solution_at(1.0, 1.0)
-        exact = [eval_series(u_ref, args.x_eval, t) for t in ts]
+        exact = eval_series(solution_at(1.0, 1.0), args.x_eval, ts).tolist()
 
-    columns = []
-    for alpha in alphas:
-        for beta in betas:
-            u = solution_at(alpha, beta)
-            columns.append([abs(eval_series(u, args.x_eval, t) - e) for t, e in zip(ts, exact)])
+    columns = [
+        np.abs(eval_series(solution_at(alpha, beta), args.x_eval, ts) - exact).tolist()
+        for alpha in alphas
+        for beta in betas
+    ]
 
     labels = [f"E({_fmt_order(a)},{_fmt_order(b)})" for a in alphas for b in betas]
     if args.format == "csv":

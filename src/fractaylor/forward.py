@@ -35,7 +35,11 @@ from .gammafn import convolution_matrix, gamma_table
 from .problem import ProblemSpec
 from .series import BiFracSeries, TSeries, WidthError, XSeries, zero_padded
 
-__all__ = ["ForwardResult", "forward_march", "march_arrays", "residual_check"]
+__all__ = ["MarchOverflow", "ForwardResult", "forward_march", "march_arrays", "residual_check"]
+
+
+class MarchOverflow(ValueError):
+    """A marched coefficient left the float range."""
 
 
 @dataclass(frozen=True)
@@ -53,13 +57,19 @@ def forward_march(spec: ProblemSpec, p: XSeries) -> ForwardResult:
     Returns the solution trapezoid together with the order-beta derivative
     traces at both endpoints, one entry per time level (every level keeps
     width >= 1, enforced up front, so all nt + 1 trace entries exist).
+
+    Raises:
+        MarchOverflow: if a coefficient of the march is not finite.
     """
     if p.beta != spec.orders.beta:
         raise ValueError("p is expressed at a different beta than the problem orders")
     a, traces, _ = march_arrays(spec, p.coeffs)
     width0 = a.shape[1] - 1
     levels = tuple(tuple(row[: width0 + 1 - 2 * i].tolist()) for i, row in enumerate(a))
-    u = BiFracSeries(spec.orders, levels)
+    try:
+        u = BiFracSeries(spec.orders, levels)
+    except ValueError as exc:  # every level is nonempty: a non-finite coefficient
+        raise MarchOverflow(f"the march overflows the float range: {exc}") from exc
     alpha = spec.orders.alpha
     return ForwardResult(
         u=u,

@@ -128,6 +128,9 @@ def ml_power_coeffs(beta: float, m: int, jmax: int):
     generalization of exp(x^m).  In the normalized basis its coefficient at
     exponent index m*j is Gamma(m*j*beta+1)/Gamma(j*beta+1); all other
     indices are zero.  Returns an XSeries truncated at index jmax.
+
+    Raises:
+        ValueError: if a coefficient overflows the float range.
     """
     _check_order(beta)
     if m < 1:
@@ -138,7 +141,11 @@ def ml_power_coeffs(beta: float, m: int, jmax: int):
 
     lg = gamma_table(beta, jmax + 1).lg
     coeffs = np.zeros(jmax + 1)
-    coeffs[::m] = np.exp(lg[: jmax + 1 : m] - lg[: jmax // m + 1])
+    with np.errstate(over="ignore"):
+        coeffs[::m] = np.exp(lg[: jmax + 1 : m] - lg[: jmax // m + 1])
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"the ml_power generator with m = {m} overflows the float range "
+                         f"within {jmax + 1} coefficients")
     return XSeries(beta=beta, coeffs=tuple(coeffs.tolist()))
 
 

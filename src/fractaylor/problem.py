@@ -38,6 +38,7 @@ from .series import (
 )
 
 __all__ = [
+    "MAX_WIDTH",
     "ConfigError",
     "GeneratorSpec",
     "ProblemSpec",
@@ -50,9 +51,19 @@ __all__ = [
 _TOP_FIELDS = ("alpha", "beta", "nt", "nx", "kmax", "phi", "mu1", "mu2", "f")
 _GEN_KINDS = ("ml_power", "coeffs", "zero", "separable")
 
+# largest march width nx + 2*nt + 1 (and length of phi): the widest cached
+# gamma table whose B_beta weights are all finite at beta = 1 (544 is not)
+MAX_WIDTH = 512
+
 
 class ConfigError(ValueError):
     """A config document or problem instance violates the schema."""
+
+
+def check_width(what: str, width: int) -> None:
+    """Reject a march width above MAX_WIDTH, before any gamma table is built."""
+    if width > MAX_WIDTH:
+        raise ConfigError(f"{what} = {width} exceeds the march width limit {MAX_WIDTH}")
 
 
 @dataclass(frozen=True)
@@ -211,11 +222,16 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     nt = _nonneg_int(cfg, "nt")
     nx = _nonneg_int(cfg, "nx")
     kmax = _nonneg_int(cfg, "kmax")
+    check_width("nx + 2*nt + 1", nx + 2 * nt + 1)
 
     phi_gen = _generator(cfg["phi"], "phi", allowed=("ml_power", "coeffs"))
     if phi_gen.kind == "ml_power":
-        phi = ml_power_coeffs(beta, phi_gen.m, nx + 2 * nt)
+        try:
+            phi = ml_power_coeffs(beta, phi_gen.m, nx + 2 * nt)
+        except ValueError as exc:
+            raise ConfigError(f"phi: {exc}") from exc
     else:
+        check_width("len(phi)", len(phi_gen.values))
         phi = XSeries(beta, phi_gen.values)
 
     mu1 = _expand_mu(cfg, "mu1", phi, alpha, nt, "x0")

@@ -84,8 +84,8 @@ class XSeries:
 
     def __post_init__(self) -> None:
         _check_unit_interval_order("beta", self.beta)
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not all(math.isfinite(c) for c in coeffs):
+        coeffs = tuple(map(float, self.coeffs))
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError("XSeries coefficients must all be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -102,8 +102,8 @@ class TSeries:
 
     def __post_init__(self) -> None:
         _check_unit_interval_order("alpha", self.alpha)
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not all(math.isfinite(c) for c in coeffs):
+        coeffs = tuple(map(float, self.coeffs))
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError("TSeries coefficients must all be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -125,13 +125,13 @@ class BiFracSeries:
     levels: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(tuple(float(c) for c in level) for level in self.levels)
+        levels = tuple(tuple(map(float, level)) for level in self.levels)
         if not levels:
             raise ValueError("BiFracSeries needs at least one time level")
         for i, level in enumerate(levels):
             if not level:
                 raise ValueError(f"time level {i} is empty")
-            if not all(math.isfinite(c) for c in level):
+            if not all(map(math.isfinite, level)):
                 raise ValueError(f"time level {i} contains non-finite coefficients")
         object.__setattr__(self, "levels", levels)
 
@@ -158,22 +158,28 @@ def eval_xseries(q: XSeries, x: float) -> float:
     return float(np.dot(q.coeffs, _basis(q.beta, x, len(q))))
 
 
-def eval_series(s: BiFracSeries, x: float, t: float) -> float:
-    """Evaluate the truncated series at a point with x, t >= 0.
+def eval_series(s: BiFracSeries, x: float, t: float | Sequence[float]) -> float | np.ndarray:
+    """Evaluate the truncated series at x >= 0 and one or more t >= 0.
 
-    numpy's ``0.0 ** 0.0 == 1.0`` supplies the 0**0 = 1 convention needed
-    for the constant term on the coordinate axes.
+    A scalar t gives a float; a 1-D sequence of t gives an array of the
+    values at (x, t[k]), each bit for bit the scalar result: the x basis
+    and the level sums are computed once and the levels are accumulated in
+    the same order for every t.  numpy's ``0.0 ** 0.0 == 1.0`` supplies the
+    0**0 = 1 convention needed for the constant term on the coordinate axes.
     """
-    if not (x >= 0.0 and t >= 0.0):
+    ts = np.asarray(t, dtype=float)
+    if not (x >= 0.0 and np.all(ts >= 0.0)):
         raise DomainError(f"fractional powers need x, t >= 0, got x={x}, t={t}")
     xbasis = _basis(s.orders.beta, x, max(len(level) for level in s.levels))
-    tbasis = _basis(s.orders.alpha, t, len(s.levels))
-    return float(sum(tb * np.dot(level, xbasis[: len(level)])
-                     for tb, level in zip(tbasis, s.levels)))
+    tbasis = _basis(s.orders.alpha, ts[..., None], len(s.levels))
+    acc = 0
+    for i, level in enumerate(s.levels):
+        acc = acc + tbasis[..., i] * np.dot(level, xbasis[: len(level)])
+    return float(acc) if ts.ndim == 0 else acc
 
 
-def _basis(order: float, x: float, n: int) -> np.ndarray:
-    """Normalized basis values x^(j*order)/Gamma(j*order+1) for j < n."""
+def _basis(order: float, x: float | np.ndarray, n: int) -> np.ndarray:
+    """Normalized basis values x^(j*order)/Gamma(j*order+1) for j < n (along the last axis)."""
     return x ** (np.arange(n) * order) * gamma_table(order, n).rgamma[:n]
 
 

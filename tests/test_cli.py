@@ -2,10 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from fractaylor import gammafn
 from fractaylor.cli import main
+from fractaylor.problem import MAX_WIDTH
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, name="case.json", **overrides):
@@ -271,7 +276,7 @@ def assert_one_line_config_error(code, out, err):
 
 def test_nan_lambda_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, mu2={"kind": "separable", "lambda": math.nan})
-    assert "NaN" in open(cfg).read()
+    assert "NaN" in Path(cfg).read_text()
     assert_one_line_config_error(*run(capsys, "invert", "--config", cfg))
 
 
@@ -309,6 +314,21 @@ def test_table_rejects_nan_t_start(capsys):
 
 def test_table_rejects_nan_t_step(capsys):
     assert_one_line_config_error(*run(capsys, "table", "--example", "1", "--t-step", "nan"))
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("table_example1.csv", ["--example", "1"]),
+        ("table_example2.csv", ["--example", "2"]),
+        ("table_example2_x0.6123.txt",
+         ["--example", "2", "--x-eval", "0.6123", "--format", "text"]),
+    ],
+)
+def test_table_output_matches_golden_file(capsys, golden, argv):
+    code, out, err = run(capsys, "table", *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / golden).read_bytes()
 
 
 def test_table_requires_example_or_config(capsys):
@@ -352,6 +372,85 @@ def test_repeated_calls_behave_like_fresh_ones(tmp_path, capsys, monkeypatch):
         for argv, want in zip(calls, fresh):
             assert call(argv) == want, argv
     assert _build_parser() is parser
+
+
+# --- problem size and overflow limits ---------------------------------------
+
+
+@pytest.fixture
+def no_wide_tables(monkeypatch):
+    """Fail any gamma table build past MAX_WIDTH, before it allocates."""
+    build = gammafn._build_table
+
+    def guarded(beta, width):
+        assert width <= MAX_WIDTH, f"gamma table of width {width} requested"
+        return build(beta, width)
+
+    monkeypatch.setattr(gammafn, "_build_table", guarded)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # nx + 2*nt reaches 270 (m = 2) and 219 (m = 3): phi overflows
+        (["--example", "1", "--nt", "140"], "overflows"),
+        (["--example", "1", "--nt", "127"], "overflows"),
+        (["--example", "2", "--nt", "102"], "overflows"),
+        # nx + 2*nt + 1 = 513
+        (["--example", "1", "--nt", "248"], "march width limit 512"),
+        (["--example", "2", "--nx", "496", "--nt", "8"], "march width limit 512"),
+        (["--example", "1", "--nt", "-1"], "nt must be >= 0"),
+        # phi is finite, the march at beta = 1 overflows at level 2
+        (["--example", "2", "--nt", "9", "--nx", "200", "--kmax", "0", "--rows", "1"],
+         "march overflows"),
+    ],
+)
+def test_table_oversized_or_overflowing_problem_is_config_error(
+    capsys, no_wide_tables, argv, message
+):
+    code, out, err = run(capsys, "table", *argv)
+    assert_one_line_config_error(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"nt": 150}, "phi: the ml_power generator with m = 2 overflows"),
+        ({"nt": 107, "phi": {"kind": "ml_power", "m": 3}},
+         "phi: the ml_power generator with m = 3 overflows"),
+        ({"nt": 252}, "nx + 2*nt + 1 = 513 exceeds the march width limit 512"),
+        ({"phi": {"kind": "coeffs", "values": [1.0] * 513}}, "len(phi) = 513 exceeds"),
+    ],
+)
+def test_invert_oversized_or_overflowing_problem_is_config_error(
+    tmp_path, capsys, no_wide_tables, overrides, message
+):
+    cfg = write_config(tmp_path, **overrides)
+    code, out, err = run(capsys, "invert", "--config", cfg)
+    assert_one_line_config_error(code, out, err)
+    assert message in err
+
+
+def test_widest_problem_is_accepted(tmp_path, capsys, no_wide_tables):
+    # p = 0 leaves the pure shift march: u = sum_j x^j / j! = e^x at every level
+    cfg = write_config(
+        tmp_path, phi={"kind": "coeffs", "values": [1.0] * MAX_WIDTH},
+        p={"kind": "coeffs", "values": [0.0]},
+    )
+    code, out, err = run(capsys, "forward", "--config", cfg, "--x", "0.5", "--t", "0")
+    assert (code, err) == (0, "")
+    assert out == f"{math.exp(0.5):.8g}\n"
+
+
+def test_overflowing_forward_march_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, alpha=0.7, beta=0.7, nt=4, nx=4, kmax=2,
+        p={"kind": "coeffs", "values": [1e300, -1e300, 1e300]},
+    )
+    code, out, err = run(capsys, "forward", "--config", cfg, "--x", "0.5", "--t", "0.1")
+    assert_one_line_config_error(code, out, err)
+    assert "march overflows" in err
 
 
 # --- selfcheck --------------------------------------------------------------

@@ -10,6 +10,7 @@ operators at fractional orders.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from fractaylor import (
     BiFracSeries,
     DomainError,
     FracOrders,
+    TSeries,
     WidthError,
     XSeries,
     add,
@@ -30,6 +32,7 @@ from fractaylor import (
     normalized_from_raw,
     raw_from_normalized,
 )
+from fractaylor.gammafn import gamma_table
 
 ORDERS11 = FracOrders(1.0, 1.0)
 
@@ -113,6 +116,55 @@ def test_eval_initial_condition_trace_matches_xseries():
     q = XSeries(0.7, levels[0])
     for x in (0.0, 0.25, 1.0):
         assert eval_series(s, x, 0.0) == pytest.approx(eval_xseries(q, x), rel=1e-14, abs=1e-14)
+
+
+def scalar_eval_reference(s, x, t):
+    """The one-point evaluation written out: per level, tbasis[i] * (level . xbasis)."""
+    nx = max(len(level) for level in s.levels)
+    xbasis = x ** (np.arange(nx) * s.orders.beta) * gamma_table(s.orders.beta, nx).rgamma[:nx]
+    n = len(s.levels)
+    tbasis = t ** (np.arange(n) * s.orders.alpha) * gamma_table(s.orders.alpha, n).rgamma[:n]
+    return float(sum(tb * np.dot(level, xbasis[: len(level)])
+                     for tb, level in zip(tbasis, s.levels)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eval_series_over_many_t_matches_scalar_calls_bit_for_bit(seed):
+    rng = random.Random(seed)
+    alpha, beta = rng.choice((1.0, 0.9, 0.7, rng.uniform(0.05, 1.0))), rng.uniform(0.05, 1.0)
+    nt = rng.randint(0, 10)
+    width0 = 2 * nt + rng.randint(1, 12)
+    levels = tuple(
+        tuple(rng.uniform(-10, 10) * 10.0 ** rng.randint(-8, 8) for _ in range(width0 + 1 - 2 * i))
+        for i in range(nt + 1)
+    )
+    s = BiFracSeries(FracOrders(alpha, beta), levels)
+    ts = [0.0] + sorted(rng.uniform(0.0, 1.0) for _ in range(9)) + [1.0]
+    for x in (0.0, 0.3, 1.0):
+        got = eval_series(s, x, ts)
+        assert isinstance(got, np.ndarray) and got.shape == (len(ts),)
+        for value, t in zip(got.tolist(), ts):
+            assert value == eval_series(s, x, t)
+            assert value == scalar_eval_reference(s, x, t)
+        assert eval_series(s, x, np.array(ts)).tolist() == got.tolist()
+
+
+def test_eval_series_scalar_t_returns_float():
+    s = BiFracSeries(FracOrders(0.9, 0.7), ((1.0, 2.0, 3.0), (4.0,)))
+    for t in (0.0, 0.5, 1, np.float64(0.25)):
+        assert type(eval_series(s, 0.4, t)) is float
+
+
+@pytest.mark.parametrize("bad", (-0.1, math.nan))
+@pytest.mark.parametrize("where", (0, 2, 4))
+def test_eval_series_rejects_a_bad_t_anywhere_in_the_array(bad, where):
+    s = BiFracSeries(ORDERS11, ((1.0, 1.0), (2.0,)))
+    ts = [0.0, 0.25, 0.5, 0.75, 1.0]
+    ts[where] = bad
+    with pytest.raises(DomainError):
+        eval_series(s, 0.5, ts)
+    with pytest.raises(DomainError):
+        eval_series(s, 0.5, np.array(ts))
 
 
 # --- time shift ---------------------------------------------------------
@@ -346,6 +398,36 @@ def test_series_requires_finite_entries():
         BiFracSeries(ORDERS11, ((1.0, math.inf),))
     with pytest.raises(ValueError):
         XSeries(1.0, (math.nan,))
+
+
+def test_constructors_store_python_floats():
+    values = np.array([1, 2, 3], dtype=np.int64)
+    floats = np.array([0.5, -1.5], dtype=np.float32)
+    for stored in (
+        XSeries(1.0, values).coeffs,
+        XSeries(1.0, (np.float64(0.5), np.int32(2))).coeffs,
+        TSeries(1.0, floats).coeffs,
+        TSeries(1.0, list(values)).coeffs,
+        *BiFracSeries(ORDERS11, (values, tuple(floats), (np.float64(2.5),))).levels,
+    ):
+        assert isinstance(stored, tuple)
+        assert all(type(c) is float for c in stored)
+    assert XSeries(1.0, values).coeffs == (1.0, 2.0, 3.0)
+    assert TSeries(1.0, floats).coeffs == (0.5, -1.5)
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_constructors_reject_a_non_finite_last_entry(bad):
+    with pytest.raises(ValueError, match="^XSeries coefficients must all be finite$"):
+        XSeries(1.0, (1.0, 2.0, bad))
+    with pytest.raises(ValueError, match="^TSeries coefficients must all be finite$"):
+        TSeries(1.0, np.array([1.0, 2.0, bad]))
+    with pytest.raises(ValueError, match="^time level 1 contains non-finite coefficients$"):
+        BiFracSeries(ORDERS11, ((1.0, 2.0, 3.0), (1.0, bad)))
+    with pytest.raises(ValueError, match="^time level 1 is empty$"):
+        BiFracSeries(ORDERS11, ((1.0,), ()))
+    with pytest.raises(ValueError, match="^BiFracSeries needs at least one time level$"):
+        BiFracSeries(ORDERS11, ())
 
 
 def test_orders_must_lie_in_unit_interval():
