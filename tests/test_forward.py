@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractaylor import (
     BiFracSeries,
@@ -265,3 +266,43 @@ def test_tangent_jacobian_matches_mpmath_differences(beta, source):
                 got = jac[:, :, k].reshape(-1)
                 worst = max(abs(g - r) for g, r in zip(got, column))
                 assert worst <= 1e-10 * scale, (kmax, k, worst, scale)
+
+
+@st.composite
+def known_source_specs(draw):
+    """A known-source problem: random phi and a ragged f whose rows may be short, long or missing."""
+    beta = draw(st.sampled_from((1.0, 0.9, 0.7, 0.35)))
+    orders = FracOrders(1.0, beta)
+    kmax = draw(st.integers(0, 4))
+    nt = draw(st.integers(1, 4))
+    nx = draw(st.integers(max(kmax, 1), kmax + 4))
+    coeff = st.floats(-2.0, 2.0)
+    width0 = nx + 2 * nt
+    phi = XSeries(beta, draw(st.lists(coeff, min_size=width0 + 1, max_size=width0 + 1)))
+    rows = draw(st.lists(st.lists(coeff, min_size=1, max_size=width0 + 2), min_size=1, max_size=nt + 2))
+    zeros = TSeries(1.0, (0.0,) * (nt + 1))
+    spec = ProblemSpec(orders, nt=nt, nx=nx, kmax=kmax, phi=phi, mu1=zeros, mu2=zeros,
+                       f_series=BiFracSeries(orders, tuple(map(tuple, rows))))
+    p = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=kmax + 1, max_size=kmax + 1)))
+    return spec, p
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(known_source_specs())
+def test_known_source_march_is_affine_in_p(case):
+    # traces(p) = traces(0) + J p; the bound scales with the march of the
+    # absolute values, which sums the magnitude of every term
+    from fractaylor.forward import march_arrays
+
+    spec, p = case
+    _, at_p, _ = march_arrays(spec, p)
+    _, at_zero, jac = march_arrays(spec, np.zeros_like(p), tangent=True)
+    f = spec.f_series
+    magnitude_spec = ProblemSpec(
+        spec.orders, nt=spec.nt, nx=spec.nx, kmax=spec.kmax,
+        phi=XSeries(spec.orders.beta, tuple(map(abs, spec.phi.coeffs))),
+        mu1=spec.mu1, mu2=spec.mu2,
+        f_series=BiFracSeries(f.orders, tuple(tuple(map(abs, level)) for level in f.levels)),
+    )
+    _, magnitude, _ = march_arrays(magnitude_spec, np.abs(p))
+    assert np.all(np.abs(at_p - (at_zero + jac @ p)) <= 1e-13 * (1.0 + magnitude))

@@ -291,3 +291,44 @@ def test_newton_known_source_is_one_step():
             assert not report.rank_deficient
             worst = max(abs(a - b) for a, b in zip(report.p.coeffs, pstar))
             assert worst <= 1e-7, (kmax, beta, worst)
+
+
+@st.composite
+def exactly_separable_specs(draw):
+    """Separable data on a random positive phi whose last two entries vanish.
+
+    With nt = 1 and kmax = nx the triangular solve fixes every column of
+    level 1, and the zero tail makes the x = 1 trace of the truncated
+    level equal the data, so the march of the recovered p reproduces the
+    data up to rounding.
+    """
+    alpha = draw(st.floats(0.05, 1.0))
+    beta = draw(st.floats(0.3, 1.0))
+    nx = draw(st.integers(1, 8))
+    body = draw(st.lists(st.floats(0.25, 4.0), min_size=nx + 1, max_size=nx + 1))
+    phi = XSeries(beta, (*body, 0.0, 0.0))
+    lam = draw(st.floats(0.5, 3.0))
+    return ProblemSpec(
+        FracOrders(alpha, beta), nt=1, nx=nx, kmax=nx, phi=phi,
+        mu1=synthesize_boundary(phi, lam, 1, "x0", alpha),
+        mu2=synthesize_boundary(phi, lam, 1, "x1", alpha),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(exactly_separable_specs())
+def test_separable_recovery_then_march_reproduces_the_data(spec):
+    # p grows like (B_beta / phi_0)**k, so the rounding budget scales with
+    # the march of |p| (phi is positive): the magnitude of every term summed
+    report = recover_separable(spec)
+    result = forward_march(spec, report.p)
+    magnitude = forward_march(spec, XSeries(spec.orders.beta, tuple(map(abs, report.p.coeffs))))
+    for trace, data, scale in (
+        (result.bc_trace_x0, spec.mu1, magnitude.bc_trace_x0),
+        (result.bc_trace_x1, spec.mu2, magnitude.bc_trace_x1),
+    ):
+        for got, want, m in zip(trace.coeffs, data.coeffs, scale.coeffs):
+            assert abs(got - want) <= 1e-13 * m
+    level0, level1 = result.u.levels
+    for got, want, m in zip(level1, level0, magnitude.u.levels[1]):
+        assert abs(got - report.lam * want) <= 1e-13 * m

@@ -442,3 +442,21 @@ def test_coeff_accessor_guards_the_trapezoid():
     assert s.coeff(1, 0) == 3.0
     with pytest.raises(IndexError):
         s.coeff(1, 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=7),
+        min_size=1, max_size=6,
+    )
+)
+def test_ragged_series_roundtrips_through_levels(rows):
+    s = BiFracSeries(ORDERS11, tuple(map(tuple, rows)))
+    assert s.levels == tuple(tuple(map(float, row)) for row in rows)
+    assert BiFracSeries(ORDERS11, s.levels).levels == s.levels
+    assert s.nt == len(rows) - 1
+    for i, row in enumerate(rows):
+        assert s.width(i) == len(row) - 1
+        for j, v in enumerate(row):
+            assert s.coeff(i, j) == v and type(s.coeff(i, j)) is float
