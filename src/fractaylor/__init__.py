@@ -30,7 +30,6 @@ from .series import (
     TSeries,
     WidthError,
     XSeries,
-    add,
     convolve_x,
     deriv_trace_at_one,
     deriv_trace_at_zero,
@@ -41,7 +40,6 @@ from .series import (
     mul_x,
     normalized_from_raw,
     raw_from_normalized,
-    scale,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +60,6 @@ __all__ = [
     "TSeries",
     "WidthError",
     "XSeries",
-    "add",
     "convolve_x",
     "deriv_trace_at_one",
     "deriv_trace_at_zero",
@@ -85,6 +82,5 @@ __all__ = [
     "recover_newton",
     "recover_separable",
     "residual_check",
-    "scale",
     "synthesize_boundary",
 ]

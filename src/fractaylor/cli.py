@@ -298,11 +298,7 @@ def _check_roundtrip() -> str:
     series = BiFracSeries(orders, ((1.0, -2.5, 3.25, 0.5), (4.0, 0.125, -9.75)))
     raw = raw_from_normalized(series)
     back = normalized_from_raw(orders, raw)
-    worst = max(
-        abs(back.levels[i][j] - series.levels[i][j]) / max(1.0, abs(series.levels[i][j]))
-        for i in range(series.nt + 1)
-        for j in range(series.width(i) + 1)
-    )
+    worst = float(np.max(np.abs(back.array - series.array) / np.maximum(1.0, np.abs(series.array))))
     if worst > 1e-14:
         raise AssertionError(f"raw/normalized roundtrip off by {worst:.2e}")
     return f"max deviation {worst:.1e}"
@@ -334,10 +330,8 @@ def _check_fractional_consistency() -> str:
     if report.forward_residual > 1e-9:
         raise AssertionError(f"forward residual {report.forward_residual:.2e}")
     u = report.solution.u
-    worst = max(
-        abs(u.levels[1][j] - report.lam * u.levels[0][j]) / max(1.0, abs(u.levels[0][j]))
-        for j in range(u.width(1) + 1)
-    )
+    level0, level1 = u.array[:, : u.sizes[1]]
+    worst = float(np.max(np.abs(level1 - report.lam * level0) / np.maximum(1.0, np.abs(level0))))
     if worst > 1e-10:
         raise AssertionError(f"separability off by {worst:.2e}")
     return f"residual {report.forward_residual:.1e}, separability {worst:.1e}"

@@ -65,9 +65,8 @@ def forward_march(spec: ProblemSpec, p: XSeries) -> ForwardResult:
         raise ValueError("p is expressed at a different beta than the problem orders")
     a, traces, _ = march_arrays(spec, p.coeffs)
     width0 = a.shape[1] - 1
-    levels = tuple(tuple(row[: width0 + 1 - 2 * i].tolist()) for i, row in enumerate(a))
     try:
-        u = BiFracSeries(spec.orders, levels)
+        u = BiFracSeries(spec.orders, [row[: width0 + 1 - 2 * i] for i, row in enumerate(a)])
     except ValueError as exc:  # every level is nonempty: a non-finite coefficient
         raise MarchOverflow(f"the march overflows the float range: {exc}") from exc
     alpha = spec.orders.alpha
@@ -109,6 +108,8 @@ def march_arrays(
     f = spec.f_series
     a = np.zeros((spec.nt + 1, width0 + 1))
     a[0] = spec.phi.coeffs
+    # a known source is zero beyond its truncation
+    source = a if f is None else zero_padded(f.array, (spec.nt, width0 - 1))
     d = None
     if tangent:
         d = np.zeros((spec.nt + 1, width0 + 1, len(p)))
@@ -118,8 +119,7 @@ def march_arrays(
         w = convolution_matrix(p, beta, width0 - 1)
         for i in range(spec.nt):
             n = width0 - 1 - 2 * i
-            # a known source is zero beyond its truncation
-            f_row = a[i, :n] if f is None else zero_padded(f.levels[i] if i <= f.nt else (), n)
+            f_row = source[i, :n]
             a[i + 1, :n] = a[i, 2 : n + 2] + w[:n, :n] @ f_row
             if d is not None:
                 d[i + 1, :n] = d[i, 2 : n + 2] + weights[:n] * f_row[index[:n]]

@@ -159,9 +159,7 @@ def recover_newton(
     depth = min(spec.nt, len(spec.mu1) - 1, len(spec.mu2) - 1)
     n = spec.kmax + 1
     if 2 * depth < n:
-        raise ValueError(
-            f"underdetermined: {2 * depth} usable trace equations for {n} unknowns"
-        )
+        raise WidthError(f"underdetermined: {2 * depth} usable trace equations for {n} unknowns")
 
     p = np.zeros(n)
     # warm-up: track the solution through shallower trace depths

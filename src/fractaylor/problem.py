@@ -275,6 +275,8 @@ def _parse_f(raw, orders: FracOrders) -> BiFracSeries | None:
     values = raw.get("values")
     if not isinstance(values, list) or not values or not all(isinstance(v, list) for v in values):
         raise ConfigError("f values must be a nonempty list of coefficient lists")
+    if not all(_is_real(c) for level in values for c in level):
+        raise ConfigError("f values must be lists of real numbers")
     try:
         return BiFracSeries(orders, tuple(tuple(level) for level in values))
     except ValueError as exc:
@@ -300,16 +302,14 @@ def _generator(raw, field: str, allowed: tuple[str, ...]) -> GeneratorSpec:
             return GeneratorSpec("ml_power", m=m)
         if kind == "separable":
             lam = raw.get("lambda")
-            if not isinstance(lam, (int, float)) or isinstance(lam, bool):
+            if not _is_real(lam):
                 raise ConfigError(f"{field}.lambda must be a real number, got {lam!r}")
             if not math.isfinite(lam):
                 raise ConfigError(f"{field}.lambda must be finite, got {lam!r}")
             return GeneratorSpec("separable", lam=float(lam))
         if kind == "coeffs":
             values = raw.get("values")
-            if not isinstance(values, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-            ):
+            if not isinstance(values, list) or not all(map(_is_real, values)):
                 raise ConfigError(f"{field}.values must be a list of real numbers")
             return GeneratorSpec("coeffs", values=tuple(values))
         return GeneratorSpec("zero")
@@ -319,9 +319,14 @@ def _generator(raw, field: str, allowed: tuple[str, ...]) -> GeneratorSpec:
         raise ConfigError(f"{field}: {exc}") from exc
 
 
+def _is_real(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _real(cfg: dict, field: str) -> float:
     value = cfg.get(field)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_real(value):
         raise ConfigError(f"{field} must be a real number, got {value!r}")
     return float(value)
 

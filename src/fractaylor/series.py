@@ -40,8 +40,6 @@ __all__ = [
     "dt_shift",
     "dx_shift",
     "mul_x",
-    "add",
-    "scale",
     "convolve_x",
     "raw_from_normalized",
     "normalized_from_raw",
@@ -111,44 +109,68 @@ class TSeries:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BiFracSeries:
     """Trapezoidally truncated bivariate series in the normalized basis.
 
-    ``levels[i][j]`` holds a[i][j]; level widths are explicit so that
-    coefficients a truncation never determined cannot be read by accident.
-    Levels produced by the forward march narrow by two spatial orders per
-    time step; free-standing series may be rectangular.
+    ``array[i, j]`` holds a[i][j] for j < ``sizes[i]`` and is 0 past the
+    level's size; the float64 array is read-only.  Level sizes are
+    explicit so that coefficients a truncation never determined cannot be
+    read by accident.  Levels produced by the forward march narrow by two
+    spatial orders per time step; free-standing series may be rectangular.
+    ``levels`` is the same table as tuples of Python floats, built on
+    request.
     """
 
     orders: FracOrders
-    levels: tuple[tuple[float, ...], ...]
+    array: np.ndarray
+    sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        levels = tuple(tuple(map(float, level)) for level in self.levels)
-        if not levels:
+    def __init__(self, orders: FracOrders, levels: Iterable[Sequence[float]]) -> None:
+        rows = list(levels)
+        if not rows:
             raise ValueError("BiFracSeries needs at least one time level")
-        for i, level in enumerate(levels):
-            if not level:
-                raise ValueError(f"time level {i} is empty")
-            if not all(map(math.isfinite, level)):
-                raise ValueError(f"time level {i} contains non-finite coefficients")
-        object.__setattr__(self, "levels", levels)
+        sizes = tuple(map(len, rows))
+        array = np.zeros((len(rows), max(sizes)))
+        for row, level, n in zip(array, rows, sizes):
+            row[:n] = level
+        valid = np.isfinite(array).all(axis=1) & (np.array(sizes) > 0)
+        if not valid.all():
+            i = int(valid.argmin())
+            problem = "is empty" if sizes[i] == 0 else "contains non-finite coefficients"
+            raise ValueError(f"time level {i} {problem}")
+        array.flags.writeable = False
+        self.__dict__.update(orders=orders, array=array, sizes=sizes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BiFracSeries):
+            return NotImplemented
+        return (self.orders, self.sizes) == (other.orders, other.sizes) and bool(
+            np.array_equal(self.array, other.array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.orders, self.sizes))
+
+    @property
+    def levels(self) -> tuple[tuple[float, ...], ...]:
+        """``levels[i][j]`` = a[i][j], one tuple of Python floats per time level."""
+        return tuple(tuple(row[:n]) for row, n in zip(self.array.tolist(), self.sizes))
 
     @property
     def nt(self) -> int:
         """Largest stored time index."""
-        return len(self.levels) - 1
+        return len(self.sizes) - 1
 
     def width(self, i: int) -> int:
         """Largest stored spatial index at time level i."""
-        return len(self.levels[i]) - 1
+        return self.sizes[i] - 1
 
     def coeff(self, i: int, j: int) -> float:
         """Stored coefficient a[i][j]; raises IndexError outside the trapezoid."""
         if not 0 <= i <= self.nt or not 0 <= j <= self.width(i):
             raise IndexError(f"coefficient ({i}, {j}) is outside the stored trapezoid")
-        return self.levels[i][j]
+        return float(self.array[i, j])
 
 
 def eval_xseries(q: XSeries, x: float) -> float:
@@ -170,11 +192,11 @@ def eval_series(s: BiFracSeries, x: float, t: float | Sequence[float]) -> float 
     ts = np.asarray(t, dtype=float)
     if not (x >= 0.0 and np.all(ts >= 0.0)):
         raise DomainError(f"fractional powers need x, t >= 0, got x={x}, t={t}")
-    xbasis = _basis(s.orders.beta, x, max(len(level) for level in s.levels))
-    tbasis = _basis(s.orders.alpha, ts[..., None], len(s.levels))
+    xbasis = _basis(s.orders.beta, x, s.array.shape[1])
+    tbasis = _basis(s.orders.alpha, ts[..., None], len(s.sizes))
     acc = 0
-    for i, level in enumerate(s.levels):
-        acc = acc + tbasis[..., i] * np.dot(level, xbasis[: len(level)])
+    for i, (row, n) in enumerate(zip(s.array, s.sizes)):
+        acc = acc + tbasis[..., i] * np.dot(row[:n], xbasis[:n])
     return float(acc) if ts.ndim == 0 else acc
 
 
@@ -196,7 +218,7 @@ def dt_shift(s: BiFracSeries, r: int) -> BiFracSeries:
         raise ValueError(f"shift order must be a positive integer, got {r}")
     if r > s.nt:
         raise WidthError(f"time shift r={r} exceeds stored depth nt={s.nt}")
-    return BiFracSeries(s.orders, s.levels[r:])
+    return BiFracSeries(s.orders, [row[:n] for row, n in zip(s.array[r:], s.sizes[r:])])
 
 
 def dx_shift(s: BiFracSeries, r: int) -> BiFracSeries:
@@ -212,7 +234,7 @@ def dx_shift(s: BiFracSeries, r: int) -> BiFracSeries:
         raise WidthError(
             f"space shift r={r} exceeds stored width {s.width(short[0])} at level {short[0]}"
         )
-    return BiFracSeries(s.orders, tuple(level[r:] for level in s.levels))
+    return BiFracSeries(s.orders, [row[r:n] for row, n in zip(s.array, s.sizes)])
 
 
 def mul_x(s: BiFracSeries, q: XSeries, jcap: int) -> BiFracSeries:
@@ -235,28 +257,8 @@ def mul_x(s: BiFracSeries, q: XSeries, jcap: int) -> BiFracSeries:
         )
     w = convolution_matrix(q.coeffs, s.orders.beta, jcap + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.array([level[: jcap + 1] for level in s.levels]) @ w.T
-    return BiFracSeries(s.orders, tuple(tuple(row) for row in out.tolist()))
-
-
-def add(a: BiFracSeries, b: BiFracSeries) -> BiFracSeries:
-    """Coefficientwise sum on the common trapezoid of the two operands."""
-    if a.orders != b.orders:
-        raise DomainError("cannot add series with different fractional orders")
-    depth = min(a.nt, b.nt)
-    levels = tuple(
-        tuple(
-            a.levels[i][j] + b.levels[i][j]
-            for j in range(min(a.width(i), b.width(i)) + 1)
-        )
-        for i in range(depth + 1)
-    )
-    return BiFracSeries(a.orders, levels)
-
-
-def scale(s: BiFracSeries, c: float) -> BiFracSeries:
-    """Multiply every coefficient by the scalar c."""
-    return BiFracSeries(s.orders, tuple(tuple(c * v for v in level) for level in s.levels))
+        out = s.array[:, : jcap + 1] @ w.T
+    return BiFracSeries(s.orders, out)
 
 
 def convolve_x(q1: XSeries, q2: XSeries, jcap: int) -> XSeries:
@@ -275,10 +277,12 @@ def convolve_x(q1: XSeries, q2: XSeries, jcap: int) -> XSeries:
     return XSeries(q1.beta, tuple(out.tolist()))
 
 
-def zero_padded(values: Sequence[float], n: int) -> np.ndarray:
-    """The first n entries of values as an array, zero-filled past its end."""
-    out = np.zeros(n)
-    out[: min(n, len(values))] = values[:n]
+def zero_padded(values: Sequence[float] | np.ndarray, shape: int | tuple[int, ...]) -> np.ndarray:
+    """values cut to the given shape as a float array, zero-filled past its end."""
+    out = np.zeros(shape)
+    values = np.asarray(values, dtype=float)
+    region = tuple(map(slice, np.minimum(out.shape, values.shape)))
+    out[region] = values[region]
     return out
 
 
@@ -288,9 +292,9 @@ def raw_from_normalized(s: BiFracSeries) -> dict[tuple[int, int], float]:
     g[i,j] = a[i][j] / (Gamma(i*alpha+1) * Gamma(j*beta+1)); the inverse
     conversion divides by the same factor.
     """
-    rt, rx = _rgammas(s.orders, len(s.levels), max(len(level) for level in s.levels))
+    rt, rx = _rgammas(s.orders, *s.array.shape)
     return {(i, j): c * (rt[i] * rx[j])
-            for i, level in enumerate(s.levels) for j, c in enumerate(level)}
+            for i, (row, n) in enumerate(zip(s.array.tolist(), s.sizes)) for j, c in enumerate(row[:n])}
 
 
 def normalized_from_raw(

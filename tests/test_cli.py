@@ -158,6 +158,46 @@ def test_invert_auto_falls_back_to_newton(tmp_path, capsys):
     assert "converged: yes" in out
 
 
+def assert_one_line_solver_error(code, out, err, text):
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("solver error:") and text in err
+
+
+# nt = 1 gives two trace equations; kmax = 4 asks for five unknowns, and the
+# non-geometric mu2 sends the auto mode to Newton
+UNDERDETERMINED = {"nt": 1, "nx": 4, "kmax": 4,
+                   "mu2": {"kind": "coeffs", "values": [1.0, 3.0, 2.0]}}
+
+
+@pytest.mark.parametrize("mode", ["auto", "newton"])
+def test_invert_underdetermined_newton_is_solver_error(tmp_path, capsys, mode):
+    cfg = write_config(tmp_path, **UNDERDETERMINED)
+    assert_one_line_solver_error(
+        *run(capsys, "invert", "--config", cfg, "--mode", mode),
+        "underdetermined: 2 usable trace equations for 5 unknowns",
+    )
+
+
+def test_forward_invert_underdetermined_newton_is_solver_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, **UNDERDETERMINED)
+    assert_one_line_solver_error(
+        *run(capsys, "forward", "--config", cfg, "--x", "0.5", "--t", "0.1", "--invert"),
+        "underdetermined: 2 usable trace equations for 5 unknowns",
+    )
+
+
+@pytest.mark.parametrize("bad", [None, [2.0], True, "2"])
+def test_forward_rejects_non_real_source_entries(tmp_path, capsys, bad):
+    cfg = write_config(
+        tmp_path, f={"kind": "coeffs2d", "values": [[1.0, bad]]},
+        p={"kind": "coeffs", "values": [0.0]},
+    )
+    code, out, err = run(capsys, "forward", "--config", cfg, "--x", "0.5", "--t", "0.1")
+    assert_one_line_config_error(code, out, err)
+    assert "f values must be lists of real numbers" in err
+
+
 # --- table ----------------------------------------------------------------
 
 TABLE_ARGS = [
@@ -256,6 +296,13 @@ def test_table_custom_config_keeps_its_truncations(tmp_path, capsys):
                        "--betas", "1", "--rows", "2")
     assert code == 0
     assert len(out.strip().split("\n")) == 3
+
+
+def test_table_without_time_levels_is_solver_error(capsys):
+    assert_one_line_solver_error(
+        *run(capsys, "table", "--example", "1", "--nt", "0"),
+        "underdetermined: 0 usable trace equations for 9 unknowns",
+    )
 
 
 def test_table_validation_errors(tmp_path, capsys):

@@ -21,7 +21,6 @@ from fractaylor import (
     TSeries,
     WidthError,
     XSeries,
-    add,
     convolve_x,
     dt_shift,
     dx_shift,
@@ -325,8 +324,9 @@ def test_mul_x_is_bilinear():
     )
     s1, s2 = mk(), mk()
     q = XSeries(0.7, tuple(rng.uniform(-3, 3) for _ in range(3)))
-    lhs = mul_x(add(s1, s2), q, 5)
-    rhs = add(mul_x(s1, q, 5), mul_x(s2, q, 5))
+    # both series are rectangular, so their arrays hold exactly their levels
+    lhs = mul_x(BiFracSeries(orders, s1.array + s2.array), q, 5)
+    rhs = BiFracSeries(orders, mul_x(s1, q, 5).array + mul_x(s2, q, 5).array)
     for i in range(lhs.nt + 1):
         for a, b in zip(lhs.levels[i], rhs.levels[i]):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
@@ -453,8 +453,16 @@ def test_coeff_accessor_guards_the_trapezoid():
 )
 def test_ragged_series_roundtrips_through_levels(rows):
     s = BiFracSeries(ORDERS11, tuple(map(tuple, rows)))
+    assert s.array.dtype == np.float64 and not s.array.flags.writeable
+    with pytest.raises(ValueError):
+        s.array[0, 0] = 1.0
+    assert s.array.shape == (len(rows), max(map(len, rows)))
+    for row, level in zip(s.array, rows):
+        assert row[: len(level)].tolist() == level and not row[len(level):].any()
     assert s.levels == tuple(tuple(map(float, row)) for row in rows)
-    assert BiFracSeries(ORDERS11, s.levels).levels == s.levels
+    again = BiFracSeries(ORDERS11, s.levels)
+    assert again.levels == s.levels
+    assert again == s and hash(again) == hash(s)
     assert s.nt == len(rows) - 1
     for i, row in enumerate(rows):
         assert s.width(i) == len(row) - 1
