@@ -298,7 +298,8 @@ def _check_roundtrip() -> str:
     series = BiFracSeries(orders, ((1.0, -2.5, 3.25, 0.5), (4.0, 0.125, -9.75)))
     raw = raw_from_normalized(series)
     back = normalized_from_raw(orders, raw)
-    worst = float(np.max(np.abs(back.array - series.array) / np.maximum(1.0, np.abs(series.array))))
+    scale = np.maximum(1.0, np.abs(series.array))
+    worst = float(np.max(np.abs(back.array - series.array) / scale))
     if worst > 1e-14:
         raise AssertionError(f"raw/normalized roundtrip off by {worst:.2e}")
     return f"max deviation {worst:.1e}"

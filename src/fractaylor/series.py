@@ -294,7 +294,8 @@ def raw_from_normalized(s: BiFracSeries) -> dict[tuple[int, int], float]:
     """
     rt, rx = _rgammas(s.orders, *s.array.shape)
     return {(i, j): c * (rt[i] * rx[j])
-            for i, (row, n) in enumerate(zip(s.array.tolist(), s.sizes)) for j, c in enumerate(row[:n])}
+            for i, (row, n) in enumerate(zip(s.array.tolist(), s.sizes))
+            for j, c in enumerate(row[:n])}
 
 
 def normalized_from_raw(
