@@ -222,10 +222,7 @@ def _cmd_table(args) -> int:
     ]
 
     labels = [f"E({_fmt_order(a)},{_fmt_order(b)})" for a in alphas for b in betas]
-    if args.format == "csv":
-        text = _render_csv(ts, exact, labels, columns)
-    else:
-        text = _render_text(ts, exact, labels, columns)
+    text = _render_table(args.format, ts, exact, labels, columns)
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -250,21 +247,17 @@ def _fmt_order(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _render_csv(ts, exact, labels, columns) -> str:
-    lines = ["t,exact," + ",".join(labels)]
-    for row, t in enumerate(ts):
-        cells = [f"{t:.6g}", f"{exact[row]:.5f}"] + [f"{col[row]:.2e}" for col in columns]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+# per --format: the cell separator and the widths of the t, exact and
+# error columns ("" pads nothing)
+_TABLE_LAYOUTS = {"csv": (",", "", "", ""), "text": ("  ", 8, 10, 12)}
 
 
-def _render_text(ts, exact, labels, columns) -> str:
-    header = f"{'t':>8}  {'exact':>10}  " + "  ".join(f"{label:>12}" for label in labels)
-    lines = [header]
-    for row, t in enumerate(ts):
-        cells = [f"{t:>8.6g}", f"{exact[row]:>10.5f}"] + [f"{col[row]:>12.2e}" for col in columns]
-        lines.append("  ".join(cells))
-    return "\n".join(lines) + "\n"
+def _render_table(fmt: str, ts, exact, labels, columns) -> str:
+    sep, wt, wx, we = _TABLE_LAYOUTS[fmt]
+    header = [f"{'t':>{wt}}", f"{'exact':>{wx}}"] + [f"{label:>{we}}" for label in labels]
+    row = sep.join([f"{{:>{wt}.6g}}", f"{{:>{wx}.5f}}"] + [f"{{:>{we}.2e}}"] * len(columns))
+    lines = [row.format(t, exact[i], *[col[i] for col in columns]) for i, t in enumerate(ts)]
+    return "\n".join([sep.join(header)] + lines) + "\n"
 
 
 def _cmd_selfcheck(args) -> int:

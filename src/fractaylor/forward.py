@@ -151,22 +151,22 @@ def _product_jacobian_table(beta: float, n: int, cols: int) -> tuple[np.ndarray,
     return index, weights
 
 
-def residual_check(result: ForwardResult, spec: ProblemSpec) -> float:
-    """Largest normalized mismatch between computed traces and the data.
+def mismatch_scale(data: np.ndarray) -> np.ndarray:
+    """max(1, |data|): a trace mismatch is (trace - data) / mismatch_scale(data)."""
+    return np.maximum(1.0, np.abs(data))
 
-    Compares entries i = 0..usable depth of both endpoint traces against
-    mu1/mu2, each normalized by max(1, |data entry|).
+
+def residual_check(result: ForwardResult, spec: ProblemSpec) -> float:
+    """Largest mismatch (see `mismatch_scale`) between computed traces and the data.
+
+    Compares entries i = 0..usable depth of both endpoint traces with mu1/mu2.
     """
     usable = min(
         len(result.bc_trace_x0), len(result.bc_trace_x1), len(spec.mu1), len(spec.mu2)
     )
     if usable < 1:
         raise ValueError("no usable trace depth: traces and data share no entries")
-    worst = 0.0
-    for trace, data in (
-        (result.bc_trace_x0.coeffs, spec.mu1.coeffs),
-        (result.bc_trace_x1.coeffs, spec.mu2.coeffs),
-    ):
-        for i in range(usable):
-            worst = max(worst, abs(trace[i] - data[i]) / max(1.0, abs(data[i])))
-    return worst
+    traces = np.array((result.bc_trace_x0.coeffs[:usable], result.bc_trace_x1.coeffs[:usable]))
+    data = np.array((spec.mu1.coeffs[:usable], spec.mu2.coeffs[:usable]))
+    with np.errstate(over="ignore"):  # far-apart finite entries differ by inf
+        return float(np.max(np.abs(traces - data) / mismatch_scale(data)))

@@ -18,10 +18,10 @@ Two routes are provided:
   (`march_arrays`), so one march per trial point gives the mismatch and
   its Jacobian together, and an accepted line-search point hands its
   Jacobian to the next step.  For a known source f the traces are affine
-  in p and one step solves the problem.  Each mismatch row is normalized
-  by max(1, |data entry|), matching `residual_check`, so the convergence
-  test ||r||_inf <= tol is a relative criterion; without the
-  normalization the rows span tens of orders of magnitude and no float
+  in p and one step solves the problem.  Each mismatch row is divided
+  by max(1, |data entry|) (`mismatch_scale`, as in `residual_check`),
+  so the convergence test ||r||_inf <= NEWTON_TOL is relative; without
+  the normalization the rows span tens of orders of magnitude and no float
   tolerance is meaningful.  A single Gauss-Newton sweep from zero stalls
   in local minima on random self-coupled instances, so the solve warms up
   through increasing trace depths (depth d uses only the first d time
@@ -39,12 +39,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ForwardResult, forward_march, march_arrays, residual_check
+from .forward import ForwardResult, forward_march, march_arrays, mismatch_scale, residual_check
 from .gammafn import convolution_matrix
 from .problem import ProblemSpec
 from .series import WidthError, XSeries
 
 __all__ = ["NotSeparable", "DegenerateData", "RecoveryReport", "recover_separable", "recover_newton"]
+
+SEPARABLE_TOL = 1e-9  # each mismatch of the ratio test
+SEPARABLE_RESIDUAL_TOL = 1e-9  # the forward residual of a converged separable solve
+NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 100  # Gauss-Newton ||r||_inf and steps at full depth
+WARMUP_TOL, WARMUP_MAX_ITER = 1e-6, 20  # the same at each warm-up depth
 
 
 class NotSeparable(ValueError):
@@ -60,8 +65,9 @@ class RecoveryReport:
     """Recovered coefficient plus diagnostics.
 
     ``solution`` is the march of the recovered p and ``forward_residual``
-    its `residual_check`; ``converged`` asserts it (or, for the Newton
-    route, the final residual) met the configured tolerance.
+    its `residual_check`; ``converged`` asserts it met
+    SEPARABLE_RESIDUAL_TOL (for the Newton route: the final Gauss-Newton
+    residual met NEWTON_TOL).
     ``iterations`` counts full-depth Gauss-Newton steps and is 0 for the
     separable route.  ``rank_deficient`` flags an exact Jacobian with
     numerical rank below the number of unknowns at the solution; it marks
@@ -78,15 +84,13 @@ class RecoveryReport:
     rank_deficient: bool = False
 
 
-def recover_separable(
-    spec: ProblemSpec, *, tol_sep: float = 1e-9, residual_tol: float = 1e-9
-) -> RecoveryReport:
+def recover_separable(spec: ProblemSpec) -> RecoveryReport:
     """Triangular solve for p on separable data.
 
     The time eigenvalue lam is estimated from mu2 alone (mu1 vanishes
     identically in the separable problems of interest) at the first
     nonzero entry, then every consecutive pair must satisfy
-    |mu2_{i+1} - lam*mu2_i| <= tol_sep * max(1, |mu2_i|).
+    |mu2_{i+1} - lam*mu2_i| <= SEPARABLE_TOL * max(1, |mu2_i|).
 
     Raises:
         NotSeparable: data fails the ratio test or the source is a known
@@ -99,7 +103,7 @@ def recover_separable(
     if phi[0] == 0.0:
         raise DegenerateData("phi_0 = 0: the triangular solve cannot be anchored")
     mu2 = spec.mu2.coeffs
-    lam = _estimate_eigenvalue(mu2, tol_sep)
+    lam = _estimate_eigenvalue(mu2)
 
     kmax = spec.kmax
     if kmax + 2 > len(phi) - 1:
@@ -114,22 +118,10 @@ def recover_separable(
     p = np.zeros(n)
     for m in range(n):
         p[m] = (lam * phi[m] - phi[m + 2] - a[m, :m] @ p[:m]) / phi[0]
-    p_series = XSeries(beta, tuple(p.tolist()))
-
-    solution = forward_march(spec, p_series)
-    residual = residual_check(solution, spec)
-    return RecoveryReport(
-        p=p_series,
-        mode="separable",
-        lam=lam,
-        solution=solution,
-        forward_residual=residual,
-        iterations=0,
-        converged=residual <= residual_tol,
-    )
+    return _report(spec, p, "separable", lam=lam)
 
 
-def _estimate_eigenvalue(mu2: tuple[float, ...], tol_sep: float) -> float:
+def _estimate_eigenvalue(mu2: tuple[float, ...]) -> float:
     nonzero = [i for i, v in enumerate(mu2) if v != 0.0]
     if not nonzero:
         raise DegenerateData("mu2 is identically zero: no boundary signal")
@@ -137,20 +129,18 @@ def _estimate_eigenvalue(mu2: tuple[float, ...], tol_sep: float) -> float:
     if i0 + 1 >= len(mu2):
         raise NotSeparable("mu2 has no usable consecutive pair to estimate the eigenvalue")
     lam = mu2[i0 + 1] / mu2[i0]
-    for i in range(len(mu2) - 1):
-        if abs(mu2[i + 1] - lam * mu2[i]) > tol_sep * max(1.0, abs(mu2[i])):
-            raise NotSeparable(
-                f"mu2 is not geometric: ratio test fails at entry {i + 1} (lam={lam:.6g})"
-            )
+    m = np.array(mu2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan compare as Python floats
+        fails = np.abs(m[1:] - lam * m[:-1]) > SEPARABLE_TOL * mismatch_scale(m[:-1])
+    i = int(fails.argmax())  # the first failing pair, if any fails
+    if fails[i]:
+        raise NotSeparable(
+            f"mu2 is not geometric: ratio test fails at entry {i + 1} (lam={lam:.6g})"
+        )
     return lam
 
 
-def recover_newton(
-    spec: ProblemSpec,
-    *,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-) -> RecoveryReport:
+def recover_newton(spec: ProblemSpec) -> RecoveryReport:
     """Damped Gauss-Newton recovery of p from general trace data.
 
     Never raises on non-convergence: the report carries the best iterate
@@ -164,22 +154,28 @@ def recover_newton(
     p = np.zeros(n)
     # warm-up: track the solution through shallower trace depths
     for d in range(1, depth):
-        p, _, _, _ = _gauss_newton(spec, p, d, tol=1e-6, max_iter=20)
-    p, iterations, converged, jac = _gauss_newton(spec, p, depth, tol=tol, max_iter=max_iter)
+        p, _, _, _ = _gauss_newton(spec, p, d, WARMUP_TOL, WARMUP_MAX_ITER)
+    p, iterations, converged, jac = _gauss_newton(spec, p, depth, NEWTON_TOL, NEWTON_MAX_ITER)
     rank_deficient = bool(np.all(np.isfinite(jac)) and np.linalg.matrix_rank(jac) < n)
+    return _report(spec, p, "newton", iterations, converged, rank_deficient)
 
-    p_series = XSeries(spec.orders.beta, tuple(float(v) for v in p))
+
+def _report(
+    spec: ProblemSpec, p: np.ndarray, mode: str, iterations: int = 0,
+    converged: bool | None = None, rank_deficient: bool = False, lam: float | None = None,
+) -> RecoveryReport:
+    """March the recovered p, check it against the data and report it, for either route.
+
+    The separable route passes no ``converged``: its report converges when
+    the forward residual is at most SEPARABLE_RESIDUAL_TOL.
+    """
+    p_series = XSeries(spec.orders.beta, tuple(p.tolist()))
     solution = forward_march(spec, p_series)
     residual = residual_check(solution, spec)
+    if converged is None:
+        converged = residual <= SEPARABLE_RESIDUAL_TOL
     return RecoveryReport(
-        p=p_series,
-        mode="newton",
-        lam=None,
-        solution=solution,
-        forward_residual=residual,
-        iterations=iterations,
-        converged=converged,
-        rank_deficient=rank_deficient,
+        p_series, mode, lam, solution, residual, iterations, converged, rank_deficient
     )
 
 
@@ -199,25 +195,25 @@ def _linearize(
     _, traces, jac = march_arrays(spec, p, tangent=tangent)
     if not np.all(np.isfinite(traces)):
         return np.full(2 * depth, np.inf), np.full((2 * depth, len(p)), np.inf)
-    data = np.array((spec.mu1.coeffs[1 : depth + 1], spec.mu2.coeffs[1 : depth + 1]))
-    r = (traces[:, 1 : depth + 1] - data).reshape(-1) * weights
+    r = (traces[:, 1 : depth + 1] - _newton_data(spec, depth)).reshape(-1) * weights
     if jac is not None:
         jac = jac[:, 1 : depth + 1].reshape(2 * depth, -1) * weights[:, None]
     return r, jac
+
+
+def _newton_data(spec: ProblemSpec, depth: int) -> np.ndarray:
+    """mu1 and mu2 at levels 1..depth, the rows the Newton residual matches."""
+    return np.array((spec.mu1.coeffs[1 : depth + 1], spec.mu2.coeffs[1 : depth + 1]))
 
 
 def _gauss_newton(
     spec: ProblemSpec,
     p0: np.ndarray,
     depth: int,
-    *,
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, int, bool, np.ndarray]:
-    weights = np.array(
-        [1.0 / max(1.0, abs(spec.mu1.coeffs[i])) for i in range(1, depth + 1)]
-        + [1.0 / max(1.0, abs(spec.mu2.coeffs[i])) for i in range(1, depth + 1)]
-    )
+    weights = 1.0 / mismatch_scale(_newton_data(spec, depth)).reshape(-1)
     p = p0.copy()
     r, jac = _linearize(spec, p, depth, weights)
     it = 0
@@ -240,5 +236,4 @@ def _gauss_newton(
             break
         p, r, jac = candidate, r_new, jac_new
         it += 1
-    converged = bool(np.max(np.abs(r)) <= tol) if np.all(np.isfinite(r)) else False
-    return p, it, converged, jac
+    return p, it, bool(np.max(np.abs(r)) <= tol), jac

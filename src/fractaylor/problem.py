@@ -320,8 +320,13 @@ def _generator(raw, field: str, allowed: tuple[str, ...]) -> GeneratorSpec:
 
 
 def _is_real(value) -> bool:
-    """A JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number: a float, or an int (not a bool) that converts to a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return isinstance(value, float) or math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _real(cfg: dict, field: str) -> float:

@@ -341,6 +341,29 @@ def test_overflowing_lambda_product_is_config_error(tmp_path, capsys):
     )
 
 
+BIG = 10**400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"alpha": BIG},
+        {"phi": {"kind": "coeffs", "values": [1.0, BIG]}},
+        {"mu1": {"kind": "coeffs", "values": [0.0, BIG]}},
+        {"p": {"kind": "coeffs", "values": [0.0, -BIG]}},
+        {"mu2": {"kind": "separable", "lambda": BIG}},
+        {"f": {"kind": "coeffs2d", "values": [[1.0, BIG]]}},
+    ],
+    ids=["alpha", "phi", "mu1", "p", "lambda", "coeffs2d"],
+)
+def test_integer_past_float_range_is_config_error(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **{"p": {"kind": "coeffs", "values": [0.0]}, **overrides})
+    assert str(BIG) in Path(cfg).read_text()
+    assert_one_line_config_error(
+        *run(capsys, "forward", "--config", cfg, "--x", "0.5", "--t", "0.1")
+    )
+
+
 def test_forward_rejects_nan_x(tmp_path, capsys):
     cfg = write_config(tmp_path, p={"kind": "coeffs", "values": [0.0, 0.0, -8.0]})
     assert_one_line_config_error(

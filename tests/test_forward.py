@@ -156,6 +156,31 @@ def test_residual_check_rejects_empty_overlap():
         residual_check(result, spec)
 
 
+def test_residual_check_equals_the_entrywise_loop():
+    # the loop that residual_check replaced, kept as its reference
+    rng = random.Random(3)
+    spec = classical_case1(nt=4, nx=6)
+    result = forward_march(spec, P_CASE1)
+    traces = (result.bc_trace_x0.coeffs, result.bc_trace_x1.coeffs)
+    for _ in range(50):
+        mu = [
+            tuple(
+                t * (1 + rng.uniform(-1e-6, 1e-6)) if rng.random() < 0.5
+                else rng.uniform(-2, 2) * 10 ** rng.uniform(-3, 3)
+                for t in trace + (1.0,) * 2  # data may outrun the 5 trace entries
+            )[: rng.randint(4, 7)]
+            for trace in traces
+        ]
+        data = ProblemSpec(spec.orders, nt=4, nx=6, kmax=2, phi=spec.phi,
+                           mu1=TSeries(1.0, mu[0]), mu2=TSeries(1.0, mu[1]))
+        usable = min(5, len(mu[0]), len(mu[1]))
+        expected = 0.0
+        for trace, values in zip(traces, mu):
+            for i in range(usable):
+                expected = max(expected, abs(trace[i] - values[i]) / max(1.0, abs(values[i])))
+        assert residual_check(result, data) == expected
+
+
 def test_overflowing_march_raises_value_error_without_warnings():
     from fractaylor.inverse import _trace_mismatch
 

@@ -133,6 +133,43 @@ def test_non_geometric_data_rejected():
         recover_separable(bad)
 
 
+def test_ratio_test_names_the_first_failing_entry():
+    spec = example_problem(1, 1.0, 1.0, nt=3, nx=6, kmax=2)
+
+    def with_mu2(values):
+        return ProblemSpec(
+            spec.orders, nt=3, nx=6, kmax=2, phi=spec.phi, mu1=spec.mu1, mu2=TSeries(1.0, values),
+        )
+
+    # entry 3 misses lam * mu2_2 = 8 by 5e-9 > 1e-9 * max(1, |mu2_2|); entry 4 by far more
+    with pytest.raises(NotSeparable, match=r"ratio test fails at entry 3 \(lam=2\)$"):
+        recover_separable(with_mu2((1.0, 2.0, 4.0, 8.0 + 5e-9, 0.0)))
+    # a miss of 3e-9 is within the scaled tolerance 4e-9
+    assert recover_separable(with_mu2((1.0, 2.0, 4.0, 8.0 + 3e-9))).lam == 2.0
+
+
+def test_ratio_test_equals_the_pairwise_loop():
+    # the loop that the array ratio test replaced, kept as its reference
+    rng = random.Random(5)
+    spec = example_problem(1, 1.0, 1.0, nt=3, nx=6, kmax=2)
+    for _ in range(50):
+        mu2 = [rng.uniform(0.5, 2.0) * rng.choice((-1e3, 1e-3, 1.0))]
+        for _ in range(4):
+            mu2.append(rng.uniform(-3, 3) * mu2[-1] if rng.random() < 0.1
+                       else 1.7 * mu2[-1] * (1 + rng.choice((0.0, 1e-12, 3e-10, 1e-9, 1e-6))))
+        lam = mu2[1] / mu2[0]
+        failing = [
+            i + 1 for i in range(4) if abs(mu2[i + 1] - lam * mu2[i]) > 1e-9 * max(1.0, abs(mu2[i]))
+        ]
+        data = ProblemSpec(spec.orders, nt=3, nx=6, kmax=2, phi=spec.phi,
+                           mu1=spec.mu1, mu2=TSeries(1.0, tuple(mu2)))
+        if failing:
+            with pytest.raises(NotSeparable, match=f"at entry {failing[0]} "):
+                recover_separable(data)
+        else:
+            assert recover_separable(data).lam == lam
+
+
 def test_known_source_mode_is_not_separable():
     spec = example_problem(1, 1.0, 1.0, nt=2, nx=4, kmax=2)
     u = forward_march(spec, XSeries(1.0, (0.0, 0.0, -8.0))).u

@@ -8,9 +8,10 @@ evaluate it at the endpoint.
 
 import json
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fractaylor import (
     ConfigError,
@@ -182,13 +183,17 @@ def test_synthesize_zero_eigenvalue_keeps_only_first_entry():
     st.lists(st.floats(min_value=-4, max_value=4), min_size=2, max_size=9),
     st.floats(min_value=-3, max_value=3),
 )
+@example(coeffs=[0.0, 5e-324], lam=1.5)  # out = (5e-324, 1e-323, ...): ratio 2
 def test_synthesize_ratio_property(coeffs, lam):
     phi = XSeries(0.8, tuple(coeffs))
     out = synthesize_boundary(phi, lam, 5, "x1", alpha=0.8)
     for i in range(5):
-        if out.coeffs[i] != 0.0 and math.isfinite(out.coeffs[i + 1] / out.coeffs[i]):
-            ratio = out.coeffs[i + 1] / out.coeffs[i]
-            assert abs(ratio - lam) <= 1e-14 * max(1.0, abs(lam))
+        prev, entry = out.coeffs[i], out.coeffs[i + 1]
+        if abs(prev) >= sys.float_info.min:
+            assert abs(entry / prev - lam) <= 1e-14 * max(1.0, abs(lam))
+        else:
+            # below the normal range entries are multiples of ulp(0.0): bound the miss absolutely
+            assert abs(entry - lam * prev) <= 8 * math.ulp(0.0)
 
 
 def test_synthesize_rejects_bad_endpoint():
