@@ -64,6 +64,15 @@ def forward_march(spec: ProblemSpec, p: XSeries) -> ForwardResult:
     if p.beta != spec.orders.beta:
         raise ValueError("p is expressed at a different beta than the problem orders")
     a, traces, _ = march_arrays(spec, p.coeffs)
+    return _forward_result(spec, a, traces)
+
+
+def _forward_result(spec: ProblemSpec, a: np.ndarray, traces: np.ndarray) -> ForwardResult:
+    """The `ForwardResult` of the levels and traces of a `march_arrays` run.
+
+    Raises:
+        MarchOverflow: if a coefficient of the march is not finite.
+    """
     width0 = a.shape[1] - 1
     try:
         u = BiFracSeries(spec.orders, [row[: width0 + 1 - 2 * i] for i, row in enumerate(a)])

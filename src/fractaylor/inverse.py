@@ -15,9 +15,12 @@ Two routes are provided:
 * `recover_newton` - general data.  Minimizes the stacked trace mismatches
   over p by damped Gauss-Newton (step halving) starting from the zero
   vector.  The Jacobian is exact: the march carries its tangent d a / d p
-  (`march_arrays`), so one march per trial point gives the mismatch and
-  its Jacobian together, and an accepted line-search point hands its
-  Jacobian to the next step.  For a known source f the traces are affine
+  (`march_arrays`), so one march gives the mismatch and its Jacobian
+  together.  Each distinct iterate is marched once: the march does not
+  depend on the trace depth, so an accepted point hands its march to the
+  next step, the next depth and the report.  A line-search trial that
+  rounds to the current iterate ends the search as failed, as would
+  every smaller step.  For a known source f the traces are affine
   in p and one step solves the problem.  Each mismatch row is divided
   by max(1, |data entry|) (`mismatch_scale`, as in `residual_check`),
   so the convergence test ||r||_inf <= NEWTON_TOL is relative; without
@@ -39,7 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ForwardResult, forward_march, march_arrays, mismatch_scale, residual_check
+from .forward import (
+    ForwardResult, _forward_result, forward_march, march_arrays, mismatch_scale, residual_check,
+)
 from .gammafn import convolution_matrix
 from .problem import ProblemSpec
 from .series import WidthError, XSeries
@@ -118,7 +123,8 @@ def recover_separable(spec: ProblemSpec) -> RecoveryReport:
     p = np.zeros(n)
     for m in range(n):
         p[m] = (lam * phi[m] - phi[m + 2] - a[m, :m] @ p[:m]) / phi[0]
-    return _report(spec, p, "separable", lam=lam)
+    p_series = XSeries(beta, tuple(p.tolist()))
+    return _report(spec, p_series, forward_march(spec, p_series), "separable", lam=lam)
 
 
 def _estimate_eigenvalue(mu2: tuple[float, ...]) -> float:
@@ -152,53 +158,57 @@ def recover_newton(spec: ProblemSpec) -> RecoveryReport:
         raise WidthError(f"underdetermined: {2 * depth} usable trace equations for {n} unknowns")
 
     p = np.zeros(n)
+    march = march_arrays(spec, p, tangent=True)
     # warm-up: track the solution through shallower trace depths
     for d in range(1, depth):
-        p, _, _, _ = _gauss_newton(spec, p, d, WARMUP_TOL, WARMUP_MAX_ITER)
-    p, iterations, converged, jac = _gauss_newton(spec, p, depth, NEWTON_TOL, NEWTON_MAX_ITER)
+        p, march, *_ = _gauss_newton(spec, p, march, d, WARMUP_TOL, WARMUP_MAX_ITER)
+    p, march, it, converged, jac = _gauss_newton(spec, p, march, depth, NEWTON_TOL, NEWTON_MAX_ITER)
     rank_deficient = bool(np.all(np.isfinite(jac)) and np.linalg.matrix_rank(jac) < n)
-    return _report(spec, p, "newton", iterations, converged, rank_deficient)
+    p_series = XSeries(spec.orders.beta, tuple(p.tolist()))
+    solution = _forward_result(spec, *march[:2])
+    return _report(spec, p_series, solution, "newton", it, converged, rank_deficient)
 
 
 def _report(
-    spec: ProblemSpec, p: np.ndarray, mode: str, iterations: int = 0,
+    spec: ProblemSpec, p: XSeries, solution: ForwardResult, mode: str, iterations: int = 0,
     converged: bool | None = None, rank_deficient: bool = False, lam: float | None = None,
 ) -> RecoveryReport:
-    """March the recovered p, check it against the data and report it, for either route.
+    """Check the march of the recovered p against the data and report it, for either route.
 
     The separable route passes no ``converged``: its report converges when
     the forward residual is at most SEPARABLE_RESIDUAL_TOL.
     """
-    p_series = XSeries(spec.orders.beta, tuple(p.tolist()))
-    solution = forward_march(spec, p_series)
     residual = residual_check(solution, spec)
     if converged is None:
         converged = residual <= SEPARABLE_RESIDUAL_TOL
-    return RecoveryReport(
-        p_series, mode, lam, solution, residual, iterations, converged, rank_deficient
-    )
+    return RecoveryReport(p, mode, lam, solution, residual, iterations, converged, rank_deficient)
 
 
 def _trace_mismatch(spec: ProblemSpec, p: np.ndarray, depth: int, weights: np.ndarray) -> np.ndarray:
     """Stacked normalized trace mismatches at levels 1..depth (inf if the march blows up)."""
-    return _linearize(spec, p, depth, weights, tangent=False)[0]
+    return _linearize(spec, p, depth, weights)[0]
 
 
 def _linearize(
-    spec: ProblemSpec, p: np.ndarray, depth: int, weights: np.ndarray, *, tangent: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The mismatch of `_trace_mismatch` and, with tangent, its exact Jacobian in p.
+    spec: ProblemSpec, p: np.ndarray, depth: int, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mismatch of `_trace_mismatch` and its exact Jacobian in p.
 
     One march gives both.  A march that overflows anywhere gives an inf
     mismatch and Jacobian.
     """
-    _, traces, jac = march_arrays(spec, p, tangent=tangent)
+    return _read_march(spec, march_arrays(spec, p, tangent=True), depth, weights)
+
+
+def _read_march(
+    spec: ProblemSpec, march: tuple, depth: int, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_linearize` from a tangent march of p: the depth only picks the trace levels read."""
+    _, traces, jac = march
     if not np.all(np.isfinite(traces)):
-        return np.full(2 * depth, np.inf), np.full((2 * depth, len(p)), np.inf)
+        return np.full(2 * depth, np.inf), np.full((2 * depth, jac.shape[2]), np.inf)
     r = (traces[:, 1 : depth + 1] - _newton_data(spec, depth)).reshape(-1) * weights
-    if jac is not None:
-        jac = jac[:, 1 : depth + 1].reshape(2 * depth, -1) * weights[:, None]
-    return r, jac
+    return r, jac[:, 1 : depth + 1].reshape(2 * depth, -1) * weights[:, None]
 
 
 def _newton_data(spec: ProblemSpec, depth: int) -> np.ndarray:
@@ -207,15 +217,11 @@ def _newton_data(spec: ProblemSpec, depth: int) -> np.ndarray:
 
 
 def _gauss_newton(
-    spec: ProblemSpec,
-    p0: np.ndarray,
-    depth: int,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int, bool, np.ndarray]:
+    spec: ProblemSpec, p: np.ndarray, march: tuple, depth: int, tol: float, max_iter: int
+) -> tuple[np.ndarray, tuple, int, bool, np.ndarray]:
+    """From p and its tangent march to (last iterate, its march, steps, met tol, Jacobian)."""
     weights = 1.0 / mismatch_scale(_newton_data(spec, depth)).reshape(-1)
-    p = p0.copy()
-    r, jac = _linearize(spec, p, depth, weights)
+    r, jac = _read_march(spec, march, depth, weights)
     it = 0
     while it < max_iter:
         if np.max(np.abs(r)) <= tol or not np.all(np.isfinite(jac)):
@@ -228,12 +234,15 @@ def _gauss_newton(
         s = 1.0
         for _ in range(31):
             candidate = p + s * step
-            r_new, jac_new = _linearize(spec, candidate, depth, weights)
+            if np.array_equal(candidate, p):  # every smaller s rounds to p too: the search fails
+                break
+            trial = march_arrays(spec, candidate, tangent=True)
+            r_new, jac_new = _read_march(spec, trial, depth, weights)
             if np.linalg.norm(r_new) < best:
+                p, march, r, jac = candidate, trial, r_new, jac_new
                 break
             s *= 0.5
-        else:
+        if p is not candidate:  # no trial was accepted
             break
-        p, r, jac = candidate, r_new, jac_new
         it += 1
-    return p, it, bool(np.max(np.abs(r)) <= tol), jac
+    return p, march, it, bool(np.max(np.abs(r)) <= tol), jac

@@ -199,6 +199,10 @@ def decode_config(text: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # the only other ValueError: too many digits for int()
+        raise ConfigError("invalid JSON: an integer literal has too many digits") from exc
+    except RecursionError as exc:
+        raise ConfigError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config document must be a JSON object")
     return cfg

@@ -364,6 +364,23 @@ def test_integer_past_float_range_is_config_error(tmp_path, capsys, overrides):
     )
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"alpha": 1.0', '"alpha": 1' + "0" * 5000),
+        ('"f": "self"', '"f": ' + "[" * 100000 + "]" * 100000),
+    ],
+    ids=["integer-past-digit-limit", "nested-100000-deep"],
+)
+def test_undecodable_json_is_config_error(tmp_path, capsys, old, new):
+    # Python's int() refuses more than 4300 digits by default, and the JSON
+    # decoder recurses once per nesting level
+    path = Path(write_config(tmp_path))
+    path.write_text(path.read_text().replace(old, new))
+    assert new in path.read_text()
+    assert_one_line_config_error(*run(capsys, "invert", "--config", str(path)))
+
+
 def test_forward_rejects_nan_x(tmp_path, capsys):
     cfg = write_config(tmp_path, p={"kind": "coeffs", "values": [0.0, 0.0, -8.0]})
     assert_one_line_config_error(
@@ -399,6 +416,23 @@ def test_table_output_matches_golden_file(capsys, golden, argv):
     code, out, err = run(capsys, "table", *argv)
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, exit_code",
+    [
+        # a self-coupled roundtrip instance at kmax = 4, beta = 0.7
+        ("newton_pool_self_k4", 0),
+        # a roundtrip instance with a known coeffs2d source, kmax = 2
+        ("newton_pool_known_k2", 0),
+        # alpha = beta = 0.7, (nt, nx, kmax) = (10, 16, 4): the fit stalls
+        ("newton_stall_10_16_4", 4),
+    ],
+)
+def test_newton_output_matches_golden_file(capsys, name, exit_code):
+    code, out, err = run(capsys, "invert", "--config", str(DATA / f"{name}.json"), "--mode", "newton")
+    assert (code, err) == (exit_code, "")
+    assert out.encode() == (DATA / f"{name}.txt").read_bytes()
 
 
 def test_table_requires_example_or_config(capsys):

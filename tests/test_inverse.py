@@ -7,6 +7,7 @@ solution u the coefficient is p = (u_t - u_xx)/u, giving -4x^2 for case 1
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fractaylor import (
     gamma_ratio,
     example_problem,
     ml_power_coeffs,
+    parse_problem,
     recover_newton,
     recover_separable,
     synthesize_boundary,
@@ -312,6 +314,79 @@ def test_newton_residual_and_jacobian_come_from_one_march():
     r, jac = _linearize(spec, p, 2, np.ones(4))
     assert np.all(np.isinf(r)) and np.all(np.isinf(jac))
     assert np.array_equal(r, _trace_mismatch(spec, p, 2, np.ones(4)))
+
+
+def pool_shaped_specs():
+    """Roundtrip instances like the benchmark's Newton pool: kmax 0-4, beta
+    in {1, 0.9, 0.7}, self-coupled and with a known source."""
+    rng = random.Random(10)
+    for kmax in range(5):
+        for beta in (1.0, 0.9, 0.7):
+            pstar = tuple(rng.uniform(-5.0, 5.0) for _ in range(kmax + 1))
+            nt, nx = kmax + 2, max(kmax, 4)
+            yield roundtrip_spec(beta, pstar, nt, nx)
+            yield known_source_roundtrip_spec(beta, pstar, nt, nx, rng)
+
+
+def stalling_spec():
+    """alpha = beta = 0.7, (nt, nx, kmax) = (10, 16, 4), separable mu2 with
+    lambda = 2: Gauss-Newton stalls, and its last line search fails."""
+    return parse_problem((Path(__file__).parent / "data" / "newton_stall_10_16_4.json").read_text())
+
+
+def bits(values):
+    array = np.asarray(values, dtype=float)
+    return array.shape, array.tobytes()
+
+
+def test_newton_solution_is_the_march_of_the_reported_p():
+    for spec in [*pool_shaped_specs(), stalling_spec()]:
+        report = recover_newton(spec)
+        want = forward_march(spec, report.p)
+        got = report.solution
+        assert bits(got.u.array) == bits(want.u.array)
+        assert got.u.sizes == want.u.sizes
+        assert bits(got.bc_trace_x0.coeffs) == bits(want.bc_trace_x0.coeffs)
+        assert bits(got.bc_trace_x1.coeffs) == bits(want.bc_trace_x1.coeffs)
+    assert not report.converged  # the stalling instance
+
+
+@pytest.fixture
+def march_log(monkeypatch):
+    """The bytes of each p that `recover_newton` marches; forward_march must not run."""
+    from fractaylor import inverse
+
+    points = []
+    march = inverse.march_arrays
+
+    def counting_march(spec, p, **kwargs):
+        points.append(np.asarray(p, dtype=float).tobytes())
+        return march(spec, p, **kwargs)
+
+    def no_forward_march(spec, p):
+        raise AssertionError("recover_newton called forward_march")
+
+    monkeypatch.setattr(inverse, "march_arrays", counting_march)
+    monkeypatch.setattr(inverse, "forward_march", no_forward_march)
+    return points
+
+
+def test_newton_marches_each_point_once(march_log):
+    # the march does not depend on the trace depth: a warm-up depth hands
+    # its last march to the next one, and the last march makes the report
+    for spec in pool_shaped_specs():
+        march_log.clear()
+        recover_newton(spec)
+        assert march_log[0] == bytes(8 * (spec.kmax + 1))  # p = 0
+        assert len(set(march_log)) == len(march_log)
+
+
+def test_stalled_line_search_never_retries_the_iterate(march_log):
+    # a trial that rounds to the current iterate ends the line search, so
+    # neither a trial nor the report re-marches a point marched before
+    report = recover_newton(stalling_spec())
+    assert not report.converged
+    assert len(set(march_log)) == len(march_log)
 
 
 def test_newton_known_source_is_one_step():
