@@ -22,7 +22,7 @@ import numpy as np
 
 from .cases import EXAMPLES, exact_classical, example_problem
 from .forward import MarchOverflow, forward_march
-from .gammafn import frac_binom, gamma_ratio, log_gamma
+from .gammafn import frac_binom, gamma_ratio, gamma_table, log_gamma
 from .inverse import (
     DegenerateData,
     NotSeparable,
@@ -160,7 +160,6 @@ def _cmd_forward(args) -> int:
 def _cmd_invert(args) -> int:
     spec = _spec_from_args(args)
     report = _recover(spec, args.mode)
-    beta = spec.orders.beta
     print(f"mode: {report.mode}")
     if report.lam is not None:
         print(f"lambda: {report.lam:.10g}")
@@ -170,9 +169,9 @@ def _cmd_invert(args) -> int:
     if report.rank_deficient:
         print("warning: Jacobian is rank deficient at the solution")
     print(f"{'k':>4}  {'coefficient':>16}  {'monomial':>16}")
+    rgamma = gamma_table(spec.orders.beta, len(report.p.coeffs)).rgamma.tolist()
     for k, coeff in enumerate(report.p.coeffs):
-        monomial = coeff * math.exp(-log_gamma(k * beta + 1.0))
-        print(f"{k:>4}  {coeff:>16.10g}  {monomial:>16.10g}")
+        print(f"{k:>4}  {coeff:>16.10g}  {coeff * rgamma[k]:>16.10g}")
     if report.mode == "newton" and not report.converged:
         return 4
     return 0
@@ -200,15 +199,25 @@ def _cmd_table(args) -> int:
         if getattr(args, field) is not None
     }
     cfg = _load_config_dict(args.config) if args.example is None else None
+    # the march and both recoveries never read alpha (the Caputo derivative
+    # is an index shift in the normalized basis), so the table solves once
+    # per beta and relabels that solution for each alpha's time basis
+    solved: dict[float, BiFracSeries] = {}
 
     def solution_at(alpha: float, beta: float) -> BiFracSeries:
-        if args.example is not None:
-            spec = example_problem(args.example, alpha, beta, **{**TABLE_DEFAULTS, **overrides})
-        else:
-            patched = dict(cfg)
-            patched.update(alpha=alpha, beta=beta, **overrides)
-            spec = problem_from_config(patched)
-        return _recover(spec, "auto").solution.u
+        if beta not in solved:
+            if args.example is not None:
+                sizes = {**TABLE_DEFAULTS, **overrides}
+                spec = example_problem(args.example, alpha, beta, **sizes)
+            else:
+                patched = dict(cfg)
+                patched.update(alpha=alpha, beta=beta, **overrides)
+                spec = problem_from_config(patched)
+            solved[beta] = _recover(spec, "auto").solution.u
+        u = solved[beta]
+        if u.orders.alpha == alpha:
+            return u
+        return BiFracSeries(FracOrders(alpha, beta), [row[:n] for row, n in zip(u.array, u.sizes)])
 
     if args.example is not None:
         exact = [exact_classical(args.example, args.x_eval, t) for t in ts]

@@ -4,11 +4,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fractaylor import gammafn
-from fractaylor.cli import main
-from fractaylor.problem import MAX_WIDTH
+from fractaylor import cli, gammafn
+from fractaylor.cases import EXAMPLES, example_problem
+from fractaylor.cli import TABLE_DEFAULTS, _recover, main
+from fractaylor.problem import MAX_WIDTH, problem_from_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -298,6 +300,57 @@ def test_table_custom_config_keeps_its_truncations(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 3
 
 
+def recovery_bits(report):
+    """Every float of a report and its march as bytes, so that -0.0 and NaN compare exactly."""
+    sol = report.solution
+    floats = [report.p.coeffs, sol.u.array, sol.bc_trace_x0.coeffs, sol.bc_trace_x1.coeffs,
+              [report.forward_residual, math.nan if report.lam is None else report.lam]]
+    flags = (report.mode, report.lam is None, report.converged, report.iterations, sol.u.sizes)
+    return flags, [np.asarray(v, dtype=float).tobytes() for v in floats]
+
+
+@pytest.mark.parametrize(
+    "case, beta",
+    [(e, beta) for e in EXAMPLES for beta in (1.0, 0.9, 0.7)]
+    + [(name, None) for name in ("newton_pool_self_k4", "newton_pool_known_k2",
+                                 "newton_stall_10_16_4")],
+)
+def test_recovery_does_not_read_alpha(case, beta):
+    # table solves once per beta and relabels the solution for each alpha;
+    # the golden Newton configs carry their own beta
+    def spec_at(alpha):
+        if beta is not None:
+            return example_problem(case, alpha, beta, **TABLE_DEFAULTS)
+        cfg = json.loads((DATA / f"{case}.json").read_text())
+        return problem_from_config({**cfg, "alpha": alpha})
+
+    mode = "auto" if beta is not None else "newton"
+    first, *rest = [recovery_bits(_recover(spec_at(a), mode)) for a in (1.0, 0.9, 0.7, 0.3)]
+    assert all(bits == first for bits in rest)
+
+
+@pytest.mark.parametrize(
+    "argv, recoveries",
+    [
+        (["--example", "1"], 3),
+        (["--example", "2", "--alphas", "1,0.5", "--betas", "0.9,0.9"], 1),
+        # the exact column at (1, 1) shares the beta = 1 solve
+        (["--config", str(DATA / "table_config_sep.json")], 3),
+    ],
+)
+def test_table_recovers_once_per_beta(capsys, monkeypatch, argv, recoveries):
+    calls = []
+
+    def counting_recover(spec, mode):
+        calls.append(spec.orders)
+        return _recover(spec, mode)
+
+    monkeypatch.setattr(cli, "_recover", counting_recover)
+    code, _, err = run(capsys, "table", *argv)
+    assert (code, err) == (0, "")
+    assert len(calls) == recoveries
+
+
 def test_table_without_time_levels_is_solver_error(capsys):
     assert_one_line_solver_error(
         *run(capsys, "table", "--example", "1", "--nt", "0"),
@@ -410,6 +463,10 @@ def test_table_rejects_nan_t_step(capsys):
         ("table_example2.csv", ["--example", "2"]),
         ("table_example2_x0.6123.txt",
          ["--example", "2", "--x-eval", "0.6123", "--format", "text"]),
+        # the first alpha is not 1, and the exact column shares the beta = 1 solve
+        ("table_config_sep.txt",
+         ["--config", str(DATA / "table_config_sep.json"), "--alphas", "0.8,1",
+          "--betas", "0.7,1", "--format", "text"]),
     ],
 )
 def test_table_output_matches_golden_file(capsys, golden, argv):
