@@ -37,8 +37,11 @@ from .series import (
     FracOrders,
     WidthError,
     eval_series,
+    level_values,
     normalized_from_raw,
     raw_from_normalized,
+    time_basis,
+    time_sum,
 )
 
 TABLE_DEFAULTS = {"nt": 10, "nx": 16, "kmax": 8}
@@ -201,10 +204,11 @@ def _cmd_table(args) -> int:
     cfg = _load_config_dict(args.config) if args.example is None else None
     # the march and both recoveries never read alpha (the Caputo derivative
     # is an index shift in the normalized basis), so the table solves once
-    # per beta and relabels that solution for each alpha's time basis
-    solved: dict[float, BiFracSeries] = {}
+    # per beta, keeps that solution's level values at x and sums them over
+    # each alpha's time basis
+    solved: dict[float, np.ndarray] = {}
 
-    def solution_at(alpha: float, beta: float) -> BiFracSeries:
+    def values_at(alpha: float, beta: float) -> np.ndarray:
         if beta not in solved:
             if args.example is not None:
                 sizes = {**TABLE_DEFAULTS, **overrides}
@@ -213,22 +217,22 @@ def _cmd_table(args) -> int:
                 patched = dict(cfg)
                 patched.update(alpha=alpha, beta=beta, **overrides)
                 spec = problem_from_config(patched)
-            solved[beta] = _recover(spec, "auto").solution.u
-        u = solved[beta]
-        if u.orders.alpha == alpha:
-            return u
-        return BiFracSeries(FracOrders(alpha, beta), [row[:n] for row, n in zip(u.array, u.sizes)])
+            solved[beta] = level_values(_recover(spec, "auto").solution.u, args.x_eval)
+        return solved[beta]
 
     if args.example is not None:
         exact = [exact_classical(args.example, args.x_eval, t) for t in ts]
     else:
-        exact = eval_series(solution_at(1.0, 1.0), args.x_eval, ts).tolist()
+        v = values_at(1.0, 1.0)
+        exact = time_sum(time_basis(1.0, ts, len(v)), v).tolist()
 
-    columns = [
-        np.abs(eval_series(solution_at(alpha, beta), args.x_eval, ts) - exact).tolist()
-        for alpha in alphas
-        for beta in betas
-    ]
+    # every beta is first needed by a cell of the first alpha, so the solves
+    # run in the order the cells are printed and the first failing one
+    # stops the table
+    values = np.array([values_at(alphas[0], beta) for beta in betas])
+    tbasis = np.stack([time_basis(alpha, ts, values.shape[-1]) for alpha in alphas])
+    errors = np.abs(time_sum(tbasis[:, None], values[:, None]) - exact)
+    columns = errors.reshape(-1, len(ts)).tolist()
 
     labels = [f"E({_fmt_order(a)},{_fmt_order(b)})" for a in alphas for b in betas]
     text = _render_table(args.format, ts, exact, labels, columns)

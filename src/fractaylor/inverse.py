@@ -20,7 +20,8 @@ Two routes are provided:
   depend on the trace depth, so an accepted point hands its march to the
   next step, the next depth and the report.  A line-search trial that
   rounds to the current iterate ends the search as failed, as would
-  every smaller step.  For a known source f the traces are affine
+  every smaller step; one that rounds to the trial just rejected is
+  skipped unmarched.  For a known source f the traces are affine
   in p and one step solves the problem.  Each mismatch row is divided
   by max(1, |data entry|) (`mismatch_scale`, as in `residual_check`),
   so the convergence test ||r||_inf <= NEWTON_TOL is relative; without
@@ -223,26 +224,30 @@ def _gauss_newton(
     weights = 1.0 / mismatch_scale(_newton_data(spec, depth)).reshape(-1)
     r, jac = _read_march(spec, march, depth, weights)
     it = 0
-    while it < max_iter:
-        if np.max(np.abs(r)) <= tol or not np.all(np.isfinite(jac)):
-            break
-        col_scale = np.linalg.norm(jac, axis=0)
-        col_scale[col_scale == 0.0] = 1.0
-        y, *_ = np.linalg.lstsq(jac / col_scale, -r, rcond=None)
-        step = y / col_scale
-        best = np.linalg.norm(r)
-        s = 1.0
-        for _ in range(31):
-            candidate = p + s * step
-            if np.array_equal(candidate, p):  # every smaller s rounds to p too: the search fails
+    # a finite trial mismatch may still overflow its norm: inf is not < best
+    with np.errstate(over="ignore"):
+        while it < max_iter:
+            if np.max(np.abs(r)) <= tol or not np.all(np.isfinite(jac)):
                 break
-            trial = march_arrays(spec, candidate, tangent=True)
-            r_new, jac_new = _read_march(spec, trial, depth, weights)
-            if np.linalg.norm(r_new) < best:
-                p, march, r, jac = candidate, trial, r_new, jac_new
+            col_scale = np.linalg.norm(jac, axis=0)
+            col_scale[col_scale == 0.0] = 1.0
+            y, *_ = np.linalg.lstsq(jac / col_scale, -r, rcond=None)
+            step = y / col_scale
+            best = np.linalg.norm(r)
+            s, rejected = 1.0, b""
+            for _ in range(31):
+                candidate = p + s * step
+                if np.array_equal(candidate, p):  # every smaller s rounds to p: the search fails
+                    break
+                if candidate.tobytes() != rejected:  # the same bits would be rejected again
+                    trial = march_arrays(spec, candidate, tangent=True)
+                    r_new, jac_new = _read_march(spec, trial, depth, weights)
+                    if np.linalg.norm(r_new) < best:
+                        p, march, r, jac = candidate, trial, r_new, jac_new
+                        break
+                    rejected = candidate.tobytes()
+                s *= 0.5
+            if p is not candidate:  # no trial was accepted
                 break
-            s *= 0.5
-        if p is not candidate:  # no trial was accepted
-            break
-        it += 1
+            it += 1
     return p, march, it, bool(np.max(np.abs(r)) <= tol), jac

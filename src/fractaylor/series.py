@@ -36,6 +36,9 @@ __all__ = [
     "TSeries",
     "BiFracSeries",
     "eval_series",
+    "level_values",
+    "time_basis",
+    "time_sum",
     "eval_xseries",
     "dt_shift",
     "dx_shift",
@@ -183,6 +186,7 @@ def eval_xseries(q: XSeries, x: float) -> float:
 def eval_series(s: BiFracSeries, x: float, t: float | Sequence[float]) -> float | np.ndarray:
     """Evaluate the truncated series at x >= 0 and one or more t >= 0.
 
+    The composition of `level_values` at x and `time_sum` over the t basis.
     A scalar t gives a float; a 1-D sequence of t gives an array of the
     values at (x, t[k]), each bit for bit the scalar result: the x basis
     and the level sums are computed once and the levels are accumulated in
@@ -192,12 +196,40 @@ def eval_series(s: BiFracSeries, x: float, t: float | Sequence[float]) -> float 
     ts = np.asarray(t, dtype=float)
     if not (x >= 0.0 and np.all(ts >= 0.0)):
         raise DomainError(f"fractional powers need x, t >= 0, got x={x}, t={t}")
-    xbasis = _basis(s.orders.beta, x, s.array.shape[1])
-    tbasis = _basis(s.orders.alpha, ts[..., None], len(s.sizes))
-    acc = 0
-    for i, (row, n) in enumerate(zip(s.array, s.sizes)):
-        acc = acc + tbasis[..., i] * np.dot(row[:n], xbasis[:n])
+    acc = time_sum(time_basis(s.orders.alpha, ts, len(s.sizes)), level_values(s, x))
     return float(acc) if ts.ndim == 0 else acc
+
+
+def level_values(s: BiFracSeries, x: float) -> np.ndarray:
+    """The spatial sum of each time level at x >= 0.
+
+    v[i] = sum_j a[i][j] * x^(j*beta)/Gamma(j*beta+1).  The values depend
+    on beta and x but not on alpha, so a series relabelled to another
+    alpha has the same level values.
+    """
+    if not x >= 0.0:
+        raise DomainError(f"fractional powers need x >= 0, got {x}")
+    xbasis = _basis(s.orders.beta, x, s.array.shape[1])
+    return np.array([np.dot(row[:n], xbasis[:n]) for row, n in zip(s.array, s.sizes)])
+
+
+def time_basis(alpha: float, t: float | Sequence[float] | np.ndarray, n: int) -> np.ndarray:
+    """t^(i*alpha)/Gamma(i*alpha+1) for i < n along a new last axis of the t values (t >= 0)."""
+    return _basis(alpha, np.asarray(t, dtype=float)[..., None], n)
+
+
+def time_sum(tbasis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_i tbasis[..., i] * values[..., i], broadcasting over the leading axes.
+
+    The levels are added one at a time in index order, so every cell is
+    bit for bit the sum of its own series whatever the shape of the batch;
+    a matrix product would sum in an order of its own and move the
+    rounding-level cells.
+    """
+    acc = 0
+    for i in range(values.shape[-1]):
+        acc = acc + tbasis[..., i] * values[..., i]
+    return acc
 
 
 def _basis(order: float, x: float | np.ndarray, n: int) -> np.ndarray:

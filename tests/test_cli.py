@@ -1,14 +1,17 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fractaylor import cli, gammafn
-from fractaylor.cases import EXAMPLES, example_problem
+from fractaylor import BiFracSeries, FracOrders, cli, eval_series, gammafn
+from fractaylor.cases import EXAMPLES, exact_classical, example_problem
 from fractaylor.cli import TABLE_DEFAULTS, _recover, main
 from fractaylor.problem import MAX_WIDTH, problem_from_config
 
@@ -351,6 +354,42 @@ def test_table_recovers_once_per_beta(capsys, monkeypatch, argv, recoveries):
     assert len(calls) == recoveries
 
 
+ORDERS = st.one_of(st.sampled_from([1.0, 0.9, 0.5]), st.floats(0.3, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    example=st.sampled_from(sorted(EXAMPLES)),
+    alphas=st.lists(ORDERS, min_size=1, max_size=4),
+    betas=st.lists(ORDERS, min_size=1, max_size=3),
+    x=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    rows=st.integers(1, 10),
+)
+def test_table_cells_are_the_per_cell_series_values(example, alphas, betas, x, rows):
+    # every cell is |eval_series(the beta solution relabelled to (alpha, beta)) - exact|,
+    # printed from the same bits
+    argv = ["table", "--example", str(example), "--alphas", ",".join(map(repr, alphas)),
+            "--betas", ",".join(map(repr, betas)), "--x-eval", repr(x), "--t-start", "0",
+            "--rows", str(rows)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    printed = [line.split(",")[2:] for line in out.getvalue().splitlines()[1:]]
+
+    ts = [0.0 + k * 0.05 for k in range(rows)]
+    exact = [exact_classical(example, x, t) for t in ts]
+    solved = {beta: _recover(example_problem(example, 1.0, beta, **TABLE_DEFAULTS), "auto")
+              for beta in betas}
+    columns = []
+    for alpha in alphas:
+        for beta in betas:
+            u = solved[beta].solution.u
+            relabelled = BiFracSeries(FracOrders(alpha, beta),
+                                      [row[:n] for row, n in zip(u.array, u.sizes)])
+            columns.append([f"{e:.2e}" for e in np.abs(eval_series(relabelled, x, ts) - exact)])
+    assert printed == [list(cells) for cells in zip(*columns)]
+
+
 def test_table_without_time_levels_is_solver_error(capsys):
     assert_one_line_solver_error(
         *run(capsys, "table", "--example", "1", "--nt", "0"),
@@ -467,6 +506,10 @@ def test_table_rejects_nan_t_step(capsys):
         ("table_config_sep.txt",
          ["--config", str(DATA / "table_config_sep.json"), "--alphas", "0.8,1",
           "--betas", "0.7,1", "--format", "text"]),
+        # the 0**0 basis term at x = 0 and t = 0, and repeated orders
+        ("table_example1_edges.txt",
+         ["--example", "1", "--alphas", "1,0.5,1", "--betas", "0.9,0.9,1", "--x-eval", "0",
+          "--t-start", "0", "--rows", "3", "--format", "text"]),
     ],
 )
 def test_table_output_matches_golden_file(capsys, golden, argv):

@@ -7,6 +7,7 @@ solution u the coefficient is p = (u_t - u_xx)/u, giving -4x^2 for case 1
 
 import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,53 @@ def test_stalled_line_search_never_retries_the_iterate(march_log):
     report = recover_newton(stalling_spec())
     assert not report.converged
     assert len(set(march_log)) == len(march_log)
+
+
+def level_one_march(spec, misses, jac_column):
+    """A kmax = 0 tangent march whose level-1 traces miss the data by ``misses``."""
+    from fractaylor import inverse
+
+    traces = np.zeros((2, spec.nt + 1))
+    traces[:, 1] = inverse._newton_data(spec, 1)[:, 0] + misses
+    jac = np.zeros((2, spec.nt + 1, 1))
+    jac[:, 1, 0] = jac_column
+    return None, traces, jac
+
+
+def test_line_search_overflowing_norm_is_silent(monkeypatch):
+    # finite trial mismatches near 1e200 have an inf norm: each trial is
+    # rejected, and numpy does not warn about the overflow
+    from fractaylor import inverse
+
+    spec = example_problem(1, 1.0, 1.0, nt=2, nx=6, kmax=0)
+    start = level_one_march(spec, (1.0, 0.0), (1.0, 0.0))
+    huge = level_one_march(spec, (1e200, 1e200), (1.0, 0.0))
+    monkeypatch.setattr(inverse, "march_arrays", lambda spec, p, tangent: huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, march, it, converged, _ = inverse._gauss_newton(spec, np.zeros(1), start, 1, 1e-10, 5)
+    assert (p.tolist(), march is start, it, converged) == ([0.0], True, 0, False)
+
+
+def test_line_search_skips_a_repeat_of_the_rejected_trial(monkeypatch):
+    # from p = 1 a step of 1.25 ulp rounds to 1 + ulp at s = 1 and at
+    # s = 1/2, and to p at s = 1/4: the repeat is rejected unmarched
+    from fractaylor import inverse
+
+    ulp = math.ulp(1.0)
+    spec = example_problem(1, 1.0, 1.0, nt=2, nx=6, kmax=0)
+    start = level_one_march(spec, (-1.25 * ulp, 0.0), (1.0, 0.0))
+    worse = level_one_march(spec, (1.0, 0.0), (1.0, 0.0))
+    trials = []
+
+    def counting_march(spec, p, tangent):
+        trials.append(p.tolist())
+        return worse
+
+    monkeypatch.setattr(inverse, "march_arrays", counting_march)
+    p, march, it, converged, _ = inverse._gauss_newton(spec, np.ones(1), start, 1, 0.0, 5)
+    assert trials == [[1.0 + ulp]]
+    assert (p.tolist(), march is start, it, converged) == ([1.0], True, 0, False)
 
 
 def test_newton_known_source_is_one_step():
