@@ -7,7 +7,7 @@ traces, all in the gamma-normalized power basis.
 
 from .cases import EXAMPLES, exact_classical, example_problem
 from .forward import ForwardResult, forward_march, residual_check
-from .gammafn import frac_binom, gamma_ratio, log_gamma, ml_power_coeffs
+from .gammafn import frac_binom, log_gamma, ml_power_coeffs
 from .inverse import (
     DegenerateData,
     NotSeparable,
@@ -30,13 +30,9 @@ from .series import (
     TSeries,
     WidthError,
     XSeries,
-    convolve_x,
     deriv_trace_at_one,
-    deriv_trace_at_zero,
     dt_shift,
-    dx_shift,
     eval_series,
-    eval_xseries,
     mul_x,
     normalized_from_raw,
     raw_from_normalized,
@@ -60,18 +56,13 @@ __all__ = [
     "TSeries",
     "WidthError",
     "XSeries",
-    "convolve_x",
     "deriv_trace_at_one",
-    "deriv_trace_at_zero",
     "dt_shift",
-    "dx_shift",
     "eval_series",
-    "eval_xseries",
     "exact_classical",
     "example_problem",
     "forward_march",
     "frac_binom",
-    "gamma_ratio",
     "log_gamma",
     "ml_power_coeffs",
     "mul_x",

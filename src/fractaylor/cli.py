@@ -22,7 +22,7 @@ import numpy as np
 
 from .cases import EXAMPLES, exact_classical, example_problem
 from .forward import MarchOverflow, forward_march
-from .gammafn import frac_binom, gamma_ratio, gamma_table, log_gamma
+from .gammafn import frac_binom, gamma_table, log_gamma
 from .inverse import (
     DegenerateData,
     NotSeparable,
@@ -155,7 +155,10 @@ def _cmd_forward(args) -> int:
         result = forward_march(spec, spec.p_known)
     else:
         raise ConfigError("config carries no p; pass --invert to recover it from the data")
-    value = eval_series(result.u, args.x, args.t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = eval_series(result.u, args.x, args.t)
+    if not math.isfinite(value):
+        raise DomainError(f"the solution at (x, t) = ({args.x:g}, {args.t:g}) is not finite")
     print(f"{value:.8g}")
     return 0
 
@@ -239,7 +242,10 @@ def _cmd_table(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(args.output).write_bytes(text.encode())
+        try:
+            Path(args.output).write_bytes(text.encode())
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {args.output}: {exc}") from exc
     return 0
 
 
@@ -293,7 +299,6 @@ def _cmd_selfcheck(args) -> int:
 def _check_gamma() -> str:
     worst = abs(frac_binom(10, 10, 1.0) - math.comb(20, 10)) / math.comb(20, 10)
     worst = max(worst, abs(log_gamma(5.0) - math.log(24.0)))
-    worst = max(worst, abs(gamma_ratio(7.5, 7.5) - 1.0))
     if worst > 1e-12:
         raise AssertionError(f"gamma arithmetic off by {worst:.2e}")
     return f"max deviation {worst:.1e}"

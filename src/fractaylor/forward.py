@@ -33,7 +33,7 @@ import numpy as np
 
 from .gammafn import convolution_matrix, gamma_table
 from .problem import ProblemSpec
-from .series import BiFracSeries, TSeries, WidthError, XSeries, zero_padded
+from .series import BiFracSeries, TSeries, WidthError, XSeries
 
 __all__ = ["MarchOverflow", "ForwardResult", "forward_march", "march_arrays", "residual_check"]
 
@@ -117,8 +117,11 @@ def march_arrays(
     f = spec.f_series
     a = np.zeros((spec.nt + 1, width0 + 1))
     a[0] = spec.phi.coeffs
-    # a known source is zero beyond its truncation
-    source = a if f is None else zero_padded(f.array, (spec.nt, width0 - 1))
+    source = a
+    if f is not None:  # a known source is zero beyond its truncation
+        source = np.zeros((spec.nt, width0 - 1))
+        known = f.array[: spec.nt, : width0 - 1]
+        source[: known.shape[0], : known.shape[1]] = known
     d = None
     if tangent:
         d = np.zeros((spec.nt + 1, width0 + 1, len(p)))

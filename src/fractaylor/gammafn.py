@@ -24,8 +24,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "GammaTable", "log_gamma", "gamma_ratio", "frac_binom", "gamma_table",
-    "convolution_matrix", "ml_power_coeffs",
+    "GammaTable", "log_gamma", "frac_binom", "gamma_table", "convolution_matrix",
+    "ml_power_coeffs",
 ]
 
 # tables are built for widths rounded up to a multiple of this, so problems
@@ -52,15 +52,6 @@ def log_gamma(a: float) -> float:
     if not a > 0.0:
         raise ValueError(f"log_gamma requires a positive argument, got {a}")
     return math.lgamma(a)
-
-
-def gamma_ratio(a: float, b: float) -> float:
-    """Return Gamma(a)/Gamma(b), computed as exp(ln Gamma(a) - ln Gamma(b)).
-
-    The log-space route keeps the ratio finite even when both gamma values
-    individually overflow.
-    """
-    return math.exp(log_gamma(a) - log_gamma(b))
 
 
 def gamma_table(beta: float, width: int) -> GammaTable:

@@ -185,26 +185,14 @@ def _report(
     return RecoveryReport(p, mode, lam, solution, residual, iterations, converged, rank_deficient)
 
 
-def _trace_mismatch(spec: ProblemSpec, p: np.ndarray, depth: int, weights: np.ndarray) -> np.ndarray:
-    """Stacked normalized trace mismatches at levels 1..depth (inf if the march blows up)."""
-    return _linearize(spec, p, depth, weights)[0]
-
-
-def _linearize(
-    spec: ProblemSpec, p: np.ndarray, depth: int, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The mismatch of `_trace_mismatch` and its exact Jacobian in p.
-
-    One march gives both.  A march that overflows anywhere gives an inf
-    mismatch and Jacobian.
-    """
-    return _read_march(spec, march_arrays(spec, p, tangent=True), depth, weights)
-
-
 def _read_march(
     spec: ProblemSpec, march: tuple, depth: int, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_linearize` from a tangent march of p: the depth only picks the trace levels read."""
+    """Normalized trace mismatches at levels 1..depth and their exact Jacobian in p.
+
+    Both are read from a tangent march of p; the depth only picks the levels
+    read.  A march that overflows anywhere gives an inf mismatch and Jacobian.
+    """
     _, traces, jac = march
     if not np.all(np.isfinite(traces)):
         return np.full(2 * depth, np.inf), np.full((2 * depth, jac.shape[2]), np.inf)

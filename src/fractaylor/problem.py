@@ -32,9 +32,9 @@ from .series import (
     DomainError,
     FracOrders,
     TSeries,
+    WidthError,
     XSeries,
     deriv_trace_at_one,
-    deriv_trace_at_zero,
 )
 
 __all__ = [
@@ -169,7 +169,9 @@ def synthesize_boundary(
     if nt < 0:
         raise ValueError(f"nt must be >= 0, got {nt}")
     if at == "x0":
-        c = deriv_trace_at_zero(phi.coeffs)
+        if len(phi) < 2:
+            raise WidthError("need width >= 1 to take a derivative trace")
+        c = phi.coeffs[1]
     elif at == "x1":
         c = deriv_trace_at_one(phi.coeffs, phi.beta)
     else:

@@ -39,14 +39,10 @@ __all__ = [
     "level_values",
     "time_basis",
     "time_sum",
-    "eval_xseries",
     "dt_shift",
-    "dx_shift",
     "mul_x",
-    "convolve_x",
     "raw_from_normalized",
     "normalized_from_raw",
-    "deriv_trace_at_zero",
     "deriv_trace_at_one",
 ]
 
@@ -176,13 +172,6 @@ class BiFracSeries:
         return float(self.array[i, j])
 
 
-def eval_xseries(q: XSeries, x: float) -> float:
-    """Evaluate a spatial series at x >= 0 (with the convention 0**0 = 1)."""
-    if not x >= 0.0:
-        raise DomainError(f"fractional powers need x >= 0, got {x}")
-    return float(np.dot(q.coeffs, _basis(q.beta, x, len(q))))
-
-
 def eval_series(s: BiFracSeries, x: float, t: float | Sequence[float]) -> float | np.ndarray:
     """Evaluate the truncated series at x >= 0 and one or more t >= 0.
 
@@ -253,22 +242,6 @@ def dt_shift(s: BiFracSeries, r: int) -> BiFracSeries:
     return BiFracSeries(s.orders, [row[:n] for row, n in zip(s.array[r:], s.sizes[r:])])
 
 
-def dx_shift(s: BiFracSeries, r: int) -> BiFracSeries:
-    """Caputo space derivative of order r*beta as a pure index shift.
-
-    Sends a[i][j] to a[i][j+r]; composing two single shifts equals one shift
-    by two, matching the telescoped gamma factor of the second derivative.
-    """
-    if r < 1:
-        raise ValueError(f"shift order must be a positive integer, got {r}")
-    short = [i for i in range(s.nt + 1) if s.width(i) < r]
-    if short:
-        raise WidthError(
-            f"space shift r={r} exceeds stored width {s.width(short[0])} at level {short[0]}"
-        )
-    return BiFracSeries(s.orders, [row[r:n] for row, n in zip(s.array, s.sizes)])
-
-
 def mul_x(s: BiFracSeries, q: XSeries, jcap: int) -> BiFracSeries:
     """Multiply by a spatial series, truncating every level at index jcap.
 
@@ -291,31 +264,6 @@ def mul_x(s: BiFracSeries, q: XSeries, jcap: int) -> BiFracSeries:
     with np.errstate(over="ignore", invalid="ignore"):
         out = s.array[:, : jcap + 1] @ w.T
     return BiFracSeries(s.orders, out)
-
-
-def convolve_x(q1: XSeries, q2: XSeries, jcap: int) -> XSeries:
-    """B_beta-weighted Cauchy product of two spatial series up to index jcap.
-
-    Both inputs are treated as complete polynomials, so every returned
-    coefficient is exact.
-    """
-    if q1.beta != q2.beta:
-        raise DomainError("cannot convolve spatial series with different beta")
-    if jcap < 0:
-        raise ValueError(f"jcap must be >= 0, got {jcap}")
-    w = convolution_matrix(q1.coeffs, q1.beta, jcap + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = w @ zero_padded(q2.coeffs, jcap + 1)
-    return XSeries(q1.beta, tuple(out.tolist()))
-
-
-def zero_padded(values: Sequence[float] | np.ndarray, shape: int | tuple[int, ...]) -> np.ndarray:
-    """values cut to the given shape as a float array, zero-filled past its end."""
-    out = np.zeros(shape)
-    values = np.asarray(values, dtype=float)
-    region = tuple(map(slice, np.minimum(out.shape, values.shape)))
-    out[region] = values[region]
-    return out
 
 
 def raw_from_normalized(s: BiFracSeries) -> dict[tuple[int, int], float]:
@@ -349,16 +297,6 @@ def _rgammas(orders: FracOrders, nlevels: int, width: int) -> tuple[list[float],
     """1/Gamma(i*alpha+1) for i < nlevels and 1/Gamma(j*beta+1) for j < width."""
     return (gamma_table(orders.alpha, nlevels).rgamma.tolist(),
             gamma_table(orders.beta, width).rgamma.tolist())
-
-
-def deriv_trace_at_zero(coeffs: Sequence[float]) -> float:
-    """Value at x = 0 of the order-beta derivative of a spatial sequence.
-
-    Shifting by one and evaluating at x = 0 leaves only the j = 0 term.
-    """
-    if len(coeffs) < 2:
-        raise WidthError("need width >= 1 to take a derivative trace")
-    return float(coeffs[1])
 
 
 def deriv_trace_at_one(coeffs: Sequence[float], beta: float) -> float:

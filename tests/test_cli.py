@@ -192,6 +192,21 @@ def test_forward_invert_underdetermined_newton_is_solver_error(tmp_path, capsys)
     )
 
 
+# auto does not fall back to Newton on degenerate data: Newton stalls on
+# phi_0 = 0 and never fits level 0 of mu2 = 0 (see README, Exit codes)
+@pytest.mark.parametrize(
+    "overrides, text",
+    [
+        ({"phi": {"kind": "coeffs", "values": [0.0] + [1.0] * 16}}, "phi_0 = 0"),
+        ({"mu2": {"kind": "zero"}}, "mu2 is identically zero"),
+    ],
+    ids=["phi0-zero", "mu2-zero"],
+)
+def test_invert_auto_on_degenerate_data_is_solver_error(tmp_path, capsys, overrides, text):
+    cfg = write_config(tmp_path, nt=4, kmax=2, **overrides)
+    assert_one_line_solver_error(*run(capsys, "invert", "--config", cfg), text)
+
+
 @pytest.mark.parametrize("bad", [None, [2.0], True, "2"])
 def test_forward_rejects_non_real_source_entries(tmp_path, capsys, bad):
     cfg = write_config(
@@ -493,6 +508,22 @@ def test_table_rejects_nan_t_start(capsys):
 
 def test_table_rejects_nan_t_step(capsys):
     assert_one_line_config_error(*run(capsys, "table", "--example", "1", "--t-step", "nan"))
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+def test_table_unwritable_output_is_config_error(tmp_path, capsys, target):
+    code, out, err = run(capsys, "table", "--example", "1", "--output", str(tmp_path / target))
+    assert_one_line_config_error(code, out, err)
+    assert "cannot write output" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x, t", [("1e300", "0.5"), ("0.5", "1e300")])
+def test_forward_non_finite_value_is_solver_error(capsys, x, t):
+    cfg = str(DATA / "table_config_sep.json")
+    assert_one_line_solver_error(
+        *run(capsys, "forward", "--config", cfg, "--x", x, "--t", t, "--invert"), "not finite"
+    )
 
 
 @pytest.mark.parametrize(

@@ -182,7 +182,8 @@ def test_residual_check_equals_the_entrywise_loop():
 
 
 def test_overflowing_march_raises_value_error_without_warnings():
-    from fractaylor.inverse import _trace_mismatch
+    from fractaylor.forward import march_arrays
+    from fractaylor.inverse import _read_march
 
     spec = example_problem(1, 0.7, 0.7, nt=4, nx=4, kmax=2)
     p = (1e300, -1e300, 1e300)
@@ -191,7 +192,7 @@ def test_overflowing_march_raises_value_error_without_warnings():
         with pytest.raises(ValueError, match="non-finite"):
             forward_march(spec, XSeries(0.7, p))
         # the Newton residual turns the same failure into an inf mismatch
-        r = _trace_mismatch(spec, np.array(p), 3, np.ones(6))
+        r, _ = _read_march(spec, march_arrays(spec, np.array(p), tangent=True), 3, np.ones(6))
     assert np.all(np.isinf(r))
 
 

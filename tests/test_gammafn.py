@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import gammaln
 
-from fractaylor import frac_binom, gamma_ratio, log_gamma, ml_power_coeffs
+from fractaylor import frac_binom, log_gamma, ml_power_coeffs
 
 
 def test_log_gamma_integer_values():
@@ -42,25 +42,6 @@ def test_log_gamma_accuracy_grid():
 def test_log_gamma_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         log_gamma(bad)
-
-
-def test_gamma_ratio_exact_cases():
-    assert abs(gamma_ratio(3.0, 2.0) - 2.0) < 1e-14
-    assert abs(gamma_ratio(5.0, 3.0) - 12.0) < 1e-13
-    # 1/Gamma(3/2) = 2/sqrt(pi)
-    assert abs(gamma_ratio(2.0, 1.5) - 2.0 / math.sqrt(math.pi)) < 1e-13
-
-
-def test_gamma_ratio_identity_on_grid():
-    for a in np.linspace(1.0, 50.0, 197):
-        assert abs(gamma_ratio(float(a), float(a)) - 1.0) <= 1e-14
-
-
-def test_gamma_ratio_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        gamma_ratio(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        gamma_ratio(2.0, 0.0)
 
 
 def test_frac_binom_reduces_to_binomial_at_beta_one():

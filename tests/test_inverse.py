@@ -24,7 +24,6 @@ from fractaylor import (
     XSeries,
     forward_march,
     frac_binom,
-    gamma_ratio,
     example_problem,
     ml_power_coeffs,
     parse_problem,
@@ -63,7 +62,7 @@ def test_case1_fractional_leading_coefficient():
     beta = 0.7
     spec = example_problem(1, 1.0, beta, nt=2, nx=8, kmax=4)
     report = recover_separable(spec)
-    expected = 2.0 - gamma_ratio(2.0 * beta + 1.0, beta + 1.0)
+    expected = 2.0 - math.exp(math.lgamma(2.0 * beta + 1.0) - math.lgamma(beta + 1.0))
     assert report.p.coeffs[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -291,7 +290,8 @@ def known_source_roundtrip_spec(beta, pstar, nt, nx, rng):
 
 
 def test_newton_residual_and_jacobian_come_from_one_march():
-    from fractaylor.inverse import _linearize, _trace_mismatch
+    from fractaylor.forward import march_arrays
+    from fractaylor.inverse import _read_march
 
     rng = np.random.default_rng(77)
     for trial in range(6):
@@ -306,15 +306,13 @@ def test_newton_residual_and_jacobian_come_from_one_march():
         p = rng.uniform(-5, 5, kmax + 1)
         for depth in range(1, nt + 1):
             weights = rng.uniform(0.1, 1.0, 2 * depth)
-            r, jac = _linearize(spec, p, depth, weights)
-            assert np.array_equal(r, _trace_mismatch(spec, p, depth, weights))
+            r, jac = _read_march(spec, march_arrays(spec, p, tangent=True), depth, weights)
             assert jac.shape == (2 * depth, kmax + 1)
     # an overflowing march: inf from both, with an inf Jacobian
     spec = example_problem(1, 0.7, 0.7, nt=4, nx=4, kmax=2)
     p = np.array([1e300, -1e300, 1e300])
-    r, jac = _linearize(spec, p, 2, np.ones(4))
+    r, jac = _read_march(spec, march_arrays(spec, p, tangent=True), 2, np.ones(4))
     assert np.all(np.isinf(r)) and np.all(np.isinf(jac))
-    assert np.array_equal(r, _trace_mismatch(spec, p, 2, np.ones(4)))
 
 
 def pool_shaped_specs():
