@@ -70,12 +70,14 @@ def forward_march(spec: ProblemSpec, p: XSeries) -> ForwardResult:
 def _forward_result(spec: ProblemSpec, a: np.ndarray, traces: np.ndarray) -> ForwardResult:
     """The `ForwardResult` of the levels and traces of a `march_arrays` run.
 
+    The solution takes ``a`` over without a copy, and ``a`` becomes read-only.
+
     Raises:
         MarchOverflow: if a coefficient of the march is not finite.
     """
-    width0 = a.shape[1] - 1
+    sizes = tuple(range(a.shape[1], a.shape[1] - 2 * len(a), -2))
     try:
-        u = BiFracSeries(spec.orders, [row[: width0 + 1 - 2 * i] for i, row in enumerate(a)])
+        u = BiFracSeries._from_padded(spec.orders, a, sizes)
     except ValueError as exc:  # every level is nonempty: a non-finite coefficient
         raise MarchOverflow(f"the march overflows the float range: {exc}") from exc
     alpha = spec.orders.alpha
@@ -131,12 +133,16 @@ def march_arrays(
         w = convolution_matrix(p, beta, width0 - 1)
         for i in range(spec.nt):
             n = width0 - 1 - 2 * i
-            f_row = source[i, :n]
-            a[i + 1, :n] = a[i, 2 : n + 2] + w[:n, :n] @ f_row
+            f_row, level = source[i, :n], a[i + 1, :n]
+            # in place, out passed positionally: a keyword out costs more than it saves
+            np.matmul(w[:n, :n], f_row, level)
+            np.add(level, a[i, 2 : n + 2], level)
             if d is not None:
-                d[i + 1, :n] = d[i, 2 : n + 2] + weights[:n] * f_row[index[:n]]
+                tangent_level = d[i + 1, :n]
+                np.multiply(weights[:n], f_row[index[:n]], tangent_level)
+                np.add(tangent_level, d[i, 2 : n + 2], tangent_level)
                 if f is None:
-                    d[i + 1, :n] += w[:n, :n] @ d[i, :n]
+                    tangent_level += w[:n, :n] @ d[i, :n]
         # order-beta derivative traces: a[i][1] at x = 0, sum_j a[i][j+1]/Gamma(j*beta+1) at x = 1
         rgamma = gamma_table(beta, width0).rgamma[:width0]
         traces = np.array((a[:, 1], a[:, 1:] @ rgamma))

@@ -21,16 +21,20 @@ Two routes are provided:
   next step, the next depth and the report.  A line-search trial that
   rounds to the current iterate ends the search as failed, as would
   every smaller step; one that rounds to the trial just rejected is
-  skipped unmarched.  For a known source f the traces are affine
-  in p and one step solves the problem.  Each mismatch row is divided
+  skipped unmarched.  For a known source f the traces are affine in p:
+  the first exact step from p = 0 is the least-squares solution, so the
+  solve is two marches and one lstsq.  Each mismatch row is divided
   by max(1, |data entry|) (`mismatch_scale`, as in `residual_check`),
   so the convergence test ||r||_inf <= NEWTON_TOL is relative; without
   the normalization the rows span tens of orders of magnitude and no float
   tolerance is meaningful.  A single Gauss-Newton sweep from zero stalls
-  in local minima on random self-coupled instances, so the solve warms up
-  through increasing trace depths (depth d uses only the first d time
-  levels of data) before the full-depth iteration; the reported iteration
-  count is that of the full-depth loop.  On 3600 seed-drawn roundtrip
+  in local minima on random self-coupled instances, so a self-coupled
+  solve warms up through increasing trace depths (depth d uses only the
+  first d time levels of data) before the full-depth iteration; a known
+  source starts at full depth.  The reported iteration count is that of
+  the full-depth loop.  The report converges when its forward residual,
+  which also reads level 0 of the traces (fixed by phi alone and never
+  fitted), is at most NEWTON_TOL.  On 3600 seed-drawn roundtrip
   instances (kmax 0-4, beta in {1, 0.9, 0.7}, a third with a known
   source) the warm-up with forward-difference Jacobians stalled on 7, the
   warm-up with exact Jacobians on the same 7, and exact Jacobians without
@@ -72,8 +76,7 @@ class RecoveryReport:
 
     ``solution`` is the march of the recovered p and ``forward_residual``
     its `residual_check`; ``converged`` asserts it met
-    SEPARABLE_RESIDUAL_TOL (for the Newton route: the final Gauss-Newton
-    residual met NEWTON_TOL).
+    SEPARABLE_RESIDUAL_TOL (for the Newton route: NEWTON_TOL).
     ``iterations`` counts full-depth Gauss-Newton steps and is 0 for the
     separable route.  ``rank_deficient`` flags an exact Jacobian with
     numerical rank below the number of unknowns at the solution; it marks
@@ -160,28 +163,30 @@ def recover_newton(spec: ProblemSpec) -> RecoveryReport:
 
     p = np.zeros(n)
     march = march_arrays(spec, p, tangent=True)
-    # warm-up: track the solution through shallower trace depths
-    for d in range(1, depth):
+    # warm-up, self-coupled only: track the solution through shallower trace
+    # depths; a known source is affine in p and needs none
+    for d in range(1, depth if spec.self_coupled else 1):
         p, march, *_ = _gauss_newton(spec, p, march, d, WARMUP_TOL, WARMUP_MAX_ITER)
-    p, march, it, converged, jac = _gauss_newton(spec, p, march, depth, NEWTON_TOL, NEWTON_MAX_ITER)
+    p, march, it, _, jac = _gauss_newton(spec, p, march, depth, NEWTON_TOL, NEWTON_MAX_ITER)
     rank_deficient = bool(np.all(np.isfinite(jac)) and np.linalg.matrix_rank(jac) < n)
     p_series = XSeries(spec.orders.beta, tuple(p.tolist()))
     solution = _forward_result(spec, *march[:2])
-    return _report(spec, p_series, solution, "newton", it, converged, rank_deficient)
+    return _report(spec, p_series, solution, "newton", it, rank_deficient)
 
 
 def _report(
     spec: ProblemSpec, p: XSeries, solution: ForwardResult, mode: str, iterations: int = 0,
-    converged: bool | None = None, rank_deficient: bool = False, lam: float | None = None,
+    rank_deficient: bool = False, lam: float | None = None,
 ) -> RecoveryReport:
     """Check the march of the recovered p against the data and report it, for either route.
 
-    The separable route passes no ``converged``: its report converges when
-    the forward residual is at most SEPARABLE_RESIDUAL_TOL.
+    The report converges when the forward residual is at most the route's
+    tolerance.  It reads every trace level the data has, level 0 too: phi
+    alone fixes level 0, which Gauss-Newton never fits, so data that phi
+    does not match cannot converge.
     """
     residual = residual_check(solution, spec)
-    if converged is None:
-        converged = residual <= SEPARABLE_RESIDUAL_TOL
+    converged = residual <= (NEWTON_TOL if mode == "newton" else SEPARABLE_RESIDUAL_TOL)
     return RecoveryReport(p, mode, lam, solution, residual, iterations, converged, rank_deficient)
 
 

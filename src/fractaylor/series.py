@@ -133,6 +133,22 @@ class BiFracSeries:
         array = np.zeros((len(rows), max(sizes)))
         for row, level, n in zip(array, rows, sizes):
             row[:n] = level
+        self._adopt(orders, array, sizes)
+
+    @classmethod
+    def _from_padded(
+        cls, orders: FracOrders, array: np.ndarray, sizes: tuple[int, ...]
+    ) -> BiFracSeries:
+        """The series over a float64 ``array`` already zero past each level's size.
+
+        The array is taken over without a copy and made read-only; it is
+        validated as in ``__init__``.
+        """
+        series = cls.__new__(cls)
+        series._adopt(orders, array, sizes)
+        return series
+
+    def _adopt(self, orders: FracOrders, array: np.ndarray, sizes: tuple[int, ...]) -> None:
         valid = np.isfinite(array).all(axis=1) & (np.array(sizes) > 0)
         if not valid.all():
             i = int(valid.argmin())

@@ -143,6 +143,17 @@ def test_invert_newton_nonconvergence_exits_4(tmp_path, capsys):
     assert "converged: no" in out
 
 
+def test_invert_newton_does_not_converge_on_an_unfit_level_0(tmp_path, capsys):
+    # phi fixes the level-0 traces, which no p can move: mu2 = 0 misses
+    # phi's x = 1 trace, so the report cannot converge whatever levels
+    # 1..depth Gauss-Newton fits
+    cfg = write_config(tmp_path, nt=4, kmax=2, mu2={"kind": "zero"})
+    code, out, err = run(capsys, "invert", "--config", cfg, "--mode", "newton")
+    assert (code, err) == (4, "")
+    assert "forward residual: 5.4365e+00" in out.splitlines()
+    assert "converged: no" in out.splitlines()
+
+
 def test_invert_auto_falls_back_to_newton(tmp_path, capsys):
     # consistent but non-geometric data: march a non-separable coefficient
     from pathlib import Path

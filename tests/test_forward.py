@@ -196,6 +196,29 @@ def test_overflowing_march_raises_value_error_without_warnings():
     assert np.all(np.isinf(r))
 
 
+def test_march_hands_its_level_array_to_the_solution():
+    # the solution adopts the march's zero-padded array: the same bits and
+    # sizes as a series built from its levels, and read-only
+    from fractaylor.forward import MarchOverflow
+
+    for spec, p in (
+        (classical_case1(nt=3, nx=6), P_CASE1),
+        (example_problem(2, 0.7, 0.9, nt=4, nx=6, kmax=4),
+         XSeries(0.9, (1.0, -0.5, 0.25, 2.0, -3.0))),
+    ):
+        u = forward_march(spec, p).u
+        rebuilt = BiFracSeries(u.orders, u.levels)
+        assert u.sizes == rebuilt.sizes
+        assert (u.array.shape, u.array.tobytes()) == (rebuilt.array.shape, rebuilt.array.tobytes())
+        assert not u.array.flags.writeable
+    spec = example_problem(1, 0.7, 0.7, nt=4, nx=4, kmax=2)
+    with pytest.raises(MarchOverflow) as info:
+        forward_march(spec, XSeries(0.7, (1e300, -1e300, 1e300)))
+    assert str(info.value) == (
+        "the march overflows the float range: time level 2 contains non-finite coefficients"
+    )
+
+
 def test_trapezoid_collapse_raises():
     orders = FracOrders(1.0, 1.0)
     phi = XSeries(1.0, (1.0,) * 5)  # width 4: two steps leave width 0

@@ -5,6 +5,7 @@ solution u the coefficient is p = (u_t - u_xx)/u, giving -4x^2 for case 1
 (u = exp(2t + x^2)) and 1 - 6x - 9x^4 for case 2 (u = exp(t + x^3)).
 """
 
+import collections
 import math
 import random
 import warnings
@@ -435,20 +436,53 @@ def test_line_search_skips_a_repeat_of_the_rejected_trial(monkeypatch):
     assert (p.tolist(), march is start, it, converged) == ([1.0], True, 0, False)
 
 
-def test_newton_known_source_is_one_step():
+@pytest.fixture
+def solver_log(monkeypatch):
+    """Counts of the marches, lstsq calls and `_gauss_newton` calls of a solve."""
+    from fractaylor import inverse
+
+    counts = collections.Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(inverse, "march_arrays", counting("march", inverse.march_arrays))
+    monkeypatch.setattr(inverse, "_gauss_newton", counting("gauss_newton", inverse._gauss_newton))
+    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    return counts
+
+
+def test_newton_known_source_is_one_step(solver_log):
     # the march is affine in p for a known source, so with the exact
-    # Jacobian one Gauss-Newton step solves it
+    # Jacobian one Gauss-Newton step from p = 0 solves it, without the
+    # warm-up: a march at 0, one least-squares solve, a march at its solution
     rng = random.Random(2024)
     for kmax in range(5):
         for beta in (1.0, 0.7):
             pstar = tuple(rng.uniform(-5.0, 5.0) for _ in range(kmax + 1))
             spec = known_source_roundtrip_spec(beta, pstar, kmax + 2, max(kmax, 4), rng)
+            solver_log.clear()
             report = recover_newton(spec)
+            assert solver_log == {"march": 2, "lstsq": 1, "gauss_newton": 1}
             assert report.converged
-            assert report.iterations <= 1
+            assert report.iterations == 1
             assert not report.rank_deficient
             worst = max(abs(a - b) for a, b in zip(report.p.coeffs, pstar))
             assert worst <= 1e-7, (kmax, beta, worst)
+
+
+def test_newton_self_coupled_source_warms_up_through_every_depth(solver_log):
+    # self-coupled solves stall without the warm-up: one Gauss-Newton loop
+    # per depth 1..depth-1, then the full-depth loop
+    for spec in pool_shaped_specs():
+        if spec.self_coupled:
+            solver_log.clear()
+            recover_newton(spec)
+            depth = min(spec.nt, len(spec.mu1) - 1, len(spec.mu2) - 1)
+            assert solver_log["gauss_newton"] == depth > 1
 
 
 @st.composite
