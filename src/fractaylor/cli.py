@@ -45,6 +45,7 @@ from .series import (
 )
 
 TABLE_DEFAULTS = {"nt": 10, "nx": 16, "kmax": 8}
+MAX_ROWS = 10_000  # table --rows limit: a table's time and memory grow linearly in rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -186,8 +187,8 @@ def _cmd_invert(args) -> int:
 def _cmd_table(args) -> int:
     alphas = _parse_order_list(args.alphas, "--alphas")
     betas = _parse_order_list(args.betas, "--betas")
-    if args.rows < 1:
-        raise ConfigError(f"--rows must be >= 1, got {args.rows}")
+    if not 1 <= args.rows <= MAX_ROWS:
+        raise ConfigError(f"--rows must lie in [1, {MAX_ROWS}], got {args.rows}")
     if not 0.0 <= args.x_eval <= 1.0:
         raise ConfigError(f"--x-eval must lie in [0, 1], got {args.x_eval}")
     # written so that NaN fails each check

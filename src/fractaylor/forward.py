@@ -20,18 +20,17 @@ function; independent instances may run in parallel freely.
 solve: it returns the levels and endpoint traces as arrays and, on
 request, the exact Jacobian of the traces in p, from the tangent
 d a / d p advanced level by level beside a (forward-mode differentiation
-of the march).
+of the march).  W and the tangent's product term read `gammafn.product_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .gammafn import convolution_matrix, gamma_table
+from .gammafn import convolution_matrix, gamma_table, product_table
 from .problem import ProblemSpec
 from .series import BiFracSeries, TSeries, WidthError, XSeries
 
@@ -105,7 +104,7 @@ def march_arrays(
     d[i+1] = d[i][2:] + C(f_i) + W @ d[i], where C(f)[j, k] = B_beta(k, j-k)
     f[j-k] is the derivative of the product W @ f in p_k, and the last term
     appears only in self-coupled mode (for a known source the march is
-    affine in p).
+    affine in p).  C(f_i) is a gather through the march's one `product_table`.
     """
     if len(p) > spec.kmax + 1:
         raise ValueError(f"p has {len(p)} coefficients, at most kmax + 1 = {spec.kmax + 1} allowed")
@@ -127,7 +126,7 @@ def march_arrays(
     d = None
     if tangent:
         d = np.zeros((spec.nt + 1, width0 + 1, len(p)))
-        index, weights = _product_jacobian_table(beta, width0 - 1, len(p))
+        index, weights = product_table(beta, width0 - 1, len(p))
     # an overflowing march leaves inf/nan entries, which callers reject
     with np.errstate(over="ignore", invalid="ignore"):
         w = convolution_matrix(p, beta, width0 - 1)
@@ -148,25 +147,6 @@ def march_arrays(
         traces = np.array((a[:, 1], a[:, 1:] @ rgamma))
         jac = None if d is None else np.array((d[:, 1], rgamma @ d[:, 1:]))
     return a, traces, jac
-
-
-@lru_cache(maxsize=32)
-def _product_jacobian_table(beta: float, n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather table of C(f) = the first cols columns of `convolution_matrix(f, beta, n)`.
-
-    C(f)[j, k] = weights[j, k] * f[index[j, k]] with index = j - k and
-    weights = B_beta(k, j - k) on and below the diagonal; above it the
-    weight is 0 and the index is clamped to 0.  One gather per level costs
-    a fraction of building `convolution_matrix(f)`, which would double the
-    cost of a tangent march at the sizes of the Newton solve.
-    """
-    binom = gamma_table(beta, max(n, cols)).binom
-    j, k = np.ogrid[:n, :cols]
-    index = np.maximum(j - k, 0)
-    weights = np.where(j >= k, binom[k, index], 0.0)
-    for array in (index, weights):
-        array.flags.writeable = False
-    return index, weights
 
 
 def mismatch_scale(data: np.ndarray) -> np.ndarray:

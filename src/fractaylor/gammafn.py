@@ -8,9 +8,9 @@ the stdlib `math.lgamma` once per (order, width) and caches it with the
 convolution weights B_beta(k, m) = exp(G[k+m] - G[k] - G[m]) and the
 reciprocal gammas exp(-G[n]) of the basis.  Working in log space keeps the
 weights finite although Gamma itself overflows past ~171.
-`convolution_matrix` is the one kernel of the B_beta-weighted product of
-two spatial series: the forward march, the separable solve and the series
-algebra all go through it.
+`product_table`, a gather table cached per (beta, n, cols), is the one
+kernel of the B_beta-weighted product: the product matrix of q is
+`weights * q[index]` in the march, its tangent, the separable solve and `mul_x`.
 
 The cached arrays are read-only and all functions are pure and thread-safe.
 """
@@ -24,8 +24,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "GammaTable", "log_gamma", "frac_binom", "gamma_table", "convolution_matrix",
-    "ml_power_coeffs",
+    "GammaTable", "log_gamma", "frac_binom", "gamma_table", "product_table",
+    "convolution_matrix", "ml_power_coeffs",
 ]
 
 # tables are built for widths rounded up to a multiple of this, so problems
@@ -93,6 +93,24 @@ def frac_binom(k: int, m: int, beta: float) -> float:
     return float(gamma_table(beta, k + m + 1).binom[k, m])
 
 
+@lru_cache(maxsize=64)
+def product_table(beta: float, n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather table (index, weights) of the B_beta product, of shape (n, cols).
+
+    index = max(j - m, 0) and weights = B_beta(j - m, m) on and below the
+    diagonal, 0 above it, so ``weights * q[index]`` is the first cols
+    columns of the product matrix of any q of n entries.  Each shape is
+    cached whole: a gather through a slice of a wider table is slower.
+    """
+    binom = gamma_table(beta, max(n, cols)).binom
+    j, m = np.ogrid[:n, :cols]
+    index = np.maximum(j - m, 0)
+    weights = np.where(j >= m, binom[index, m], 0.0)
+    for array in (index, weights):
+        array.flags.writeable = False
+    return index, weights
+
+
 def convolution_matrix(q: Sequence[float], beta: float, n: int) -> np.ndarray:
     """Matrix of the B_beta-weighted product with the spatial series q.
 
@@ -102,13 +120,13 @@ def convolution_matrix(q: Sequence[float], beta: float, n: int) -> np.ndarray:
     applied to q gives the same product.  Overflowing weights become inf
     without a warning; callers reject non-finite results.
     """
-    binom = gamma_table(beta, n).binom
-    w = np.zeros((n, n))
-    flat = w.reshape(-1)  # flat[k*n + m*(n+1)] is W[m + k, m], the k-th subdiagonal
-    with np.errstate(over="ignore"):
-        for k, qk in enumerate(q[:n]):
-            if qk != 0.0:
-                flat[k * n :: n + 1] = qk * binom[k, : n - k]
+    index, weights = product_table(beta, n, n)
+    padded = np.zeros(n)  # q zero padded or cut to n entries
+    padded[: min(len(q), n)] = q[:n]
+    w = padded[index]  # scaled in place: a second n x n temporary made the march slower
+    # weights are finite up to n ~ 1000 at beta = 1, so a zero q_k gives 0, not nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        w *= weights
     return w
 
 

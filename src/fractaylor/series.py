@@ -60,6 +60,14 @@ def _check_unit_interval_order(name: str, value: float) -> None:
         raise DomainError(f"{name} must lie in (0, 1], got {value}")
 
 
+def _init_series(series, order: str) -> None:
+    _check_unit_interval_order(order, getattr(series, order))
+    coeffs = tuple(map(float, series.coeffs))
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(f"{type(series).__name__} coefficients must all be finite")
+    object.__setattr__(series, "coeffs", coeffs)
+
+
 @dataclass(frozen=True)
 class FracOrders:
     """The pair of fractional derivative orders (time, space)."""
@@ -80,11 +88,7 @@ class XSeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_unit_interval_order("beta", self.beta)
-        coeffs = tuple(map(float, self.coeffs))
-        if not all(map(math.isfinite, coeffs)):
-            raise ValueError("XSeries coefficients must all be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        _init_series(self, "beta")
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -98,11 +102,7 @@ class TSeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_unit_interval_order("alpha", self.alpha)
-        coeffs = tuple(map(float, self.coeffs))
-        if not all(map(math.isfinite, coeffs)):
-            raise ValueError("TSeries coefficients must all be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        _init_series(self, "alpha")
 
     def __len__(self) -> int:
         return len(self.coeffs)

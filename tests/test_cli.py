@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fractaylor import BiFracSeries, FracOrders, cli, eval_series, gammafn
 from fractaylor.cases import EXAMPLES, exact_classical, example_problem
-from fractaylor.cli import TABLE_DEFAULTS, _recover, main
+from fractaylor.cli import MAX_ROWS, TABLE_DEFAULTS, _recover, main
 from fractaylor.problem import MAX_WIDTH, problem_from_config
 
 DATA = Path(__file__).parent / "data"
@@ -433,6 +433,13 @@ def test_table_validation_errors(tmp_path, capsys):
     assert code == 2 and "[0, 1]" in err
 
 
+def test_table_rows_past_the_limit_is_config_error(capsys):
+    code, out, err = run(capsys, "table", "--example", "1", "--t-step", "0",
+                         "--rows", str(MAX_ROWS + 1))
+    assert_one_line_config_error(code, out, err)
+    assert f"--rows must lie in [1, {MAX_ROWS}], got {MAX_ROWS + 1}" in err
+
+
 def assert_one_line_config_error(code, out, err):
     assert code == 2
     assert out == ""
@@ -575,6 +582,15 @@ def test_newton_output_matches_golden_file(capsys, name, exit_code):
     code, out, err = run(capsys, "invert", "--config", str(DATA / f"{name}.json"), "--mode", "newton")
     assert (code, err) == (exit_code, "")
     assert out.encode() == (DATA / f"{name}.txt").read_bytes()
+
+
+def test_separable_output_matches_golden_file(capsys):
+    # alpha = 0.9, beta = 0.7, (nt, nx, kmax) = (4, 10, 10): the separable solve at
+    # fractional orders does not converge (residual 1.3), but p is pinned to 10 digits
+    code, out, err = run(capsys, "invert", "--config", str(DATA / "separable_frac_4_10_10.json"),
+                         "--mode", "separable")
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "separable_frac_4_10_10.txt").read_bytes()
 
 
 def test_table_requires_example_or_config(capsys):

@@ -21,6 +21,7 @@ from fractaylor import (
     frac_binom,
 )
 from fractaylor.gammafn import convolution_matrix, gamma_table
+from fractaylor.problem import MAX_WIDTH
 
 EPS = 2.0**-52
 
@@ -72,13 +73,32 @@ def test_frac_binom_reads_the_table():
 
 
 def test_convolution_matrix_entries():
-    q = (2.0, 0.0, -3.0)
-    w = convolution_matrix(q, 0.7, 6)
-    for j in range(6):
-        for m in range(6):
-            k = j - m
-            want = q[k] * frac_binom(k, m, 0.7) if 0 <= k < len(q) else 0.0
-            assert w[j, m] == want
+    cases = [
+        ((2.0, 0.0, -3.0), 6),
+        # longer than n, as the separable solve passes all of phi into kmax + 1 rows
+        (tuple(0.5 * k - 2.0 for k in range(11)), 4),
+        (np.array([1.25, -0.5, 4.0, 0.75]), 7),
+        ((-1.0, 0.0, 0.0, 3.5, 0.0, -0.25, 0.0, 0.0), 9),
+    ]
+    for q, n in cases:
+        w = convolution_matrix(q, 0.7, n)
+        assert w.shape == (n, n)
+        for j in range(n):
+            for m in range(n):
+                k = j - m
+                want = q[k] * frac_binom(k, m, 0.7) if 0 <= k < len(q) else 0.0
+                assert w[j, m] == want, (list(q), n, j, m)
+
+
+def test_convolution_matrix_at_the_widest_march_is_finite():
+    # at beta = 1 the weights are the largest; a zero q_k must give an exactly
+    # zero subdiagonal, not 0 * inf = nan
+    n = MAX_WIDTH - 2
+    q = [0.0 if k % 3 == 1 else 1.0 for k in range(n)]
+    w = convolution_matrix(q, 1.0, n)
+    assert np.isfinite(w).all()
+    for k in range(1, n, 3):
+        assert not np.diagonal(w, -k).any()
 
 
 def mp_march(phi, p, beta, nt):
