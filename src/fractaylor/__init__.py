@@ -17,7 +17,6 @@ from .inverse import (
 )
 from .problem import (
     ConfigError,
-    GeneratorSpec,
     ProblemSpec,
     parse_problem,
     problem_from_config,
@@ -49,7 +48,6 @@ __all__ = [
     "EXAMPLES",
     "ForwardResult",
     "FracOrders",
-    "GeneratorSpec",
     "NotSeparable",
     "ProblemSpec",
     "RecoveryReport",

@@ -8,6 +8,9 @@ Two self-coupled inverse problems serve as the standard test cases:
 * case 2: initial data E_beta(x^(3*beta)), time eigenvalue 1.  Classical
   solution exp(t + x^3), true coefficient p(x) = 1 - 6x - 9x^4.
 
+Each case is a config fragment (`example_config`), which `example_problem`
+completes with the orders and sizes and builds with `problem_from_config`,
+so a case and its config file give the same problem and the same errors.
 Both are separable by construction: the x = 1 trace is the geometric
 sequence lam**i times the trace constant of the initial data.
 """
@@ -16,16 +19,23 @@ from __future__ import annotations
 
 import math
 
-from .gammafn import ml_power_coeffs
-from .problem import ConfigError, ProblemSpec, check_width, synthesize_boundary
-from .series import FracOrders, TSeries
+from .problem import ProblemSpec, problem_from_config
 
-__all__ = ["EXAMPLES", "example_problem", "exact_classical"]
+__all__ = ["EXAMPLES", "example_config", "example_problem", "exact_classical"]
 
 EXAMPLES = (1, 2)
 
-_POWER = {1: 2, 2: 3}
-_EIGENVALUE = {1: 2.0, 2: 1.0}
+
+def example_config(example: int) -> dict:
+    """The config fields of a built-in case, all but its orders and sizes."""
+    _check_example(example)
+    m, lam = (2, 2.0) if example == 1 else (3, 1.0)
+    return {
+        "phi": {"kind": "ml_power", "m": m},
+        "mu1": {"kind": "zero"},
+        "mu2": {"kind": "separable", "lambda": lam},
+        "f": "self",
+    }
 
 
 def example_problem(
@@ -34,22 +44,14 @@ def example_problem(
     """Materialize a built-in case at the given orders and truncation sizes.
 
     Raises:
-        ConfigError: if the sizes are invalid or past `MAX_WIDTH`, or the
-            initial data or its trace sequence overflows the float range.
+        ConfigError: as `problem_from_config` does for the same config: if
+            the sizes are invalid or past `MAX_WIDTH`, or the initial data
+            or its trace sequence overflows the float range.
     """
-    _check_example(example)
-    check_width("nx + 2*nt + 1", nx + 2 * nt + 1)
-    try:
-        phi = ml_power_coeffs(beta, _POWER[example], nx + 2 * nt)
-        mu2 = synthesize_boundary(phi, _EIGENVALUE[example], nt, "x1", alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    mu1 = TSeries(alpha, (0.0,) * (nt + 1))
-    return ProblemSpec(
-        orders=FracOrders(alpha, beta),
-        nt=nt, nx=nx, kmax=kmax,
-        phi=phi, mu1=mu1, mu2=mu2,
-    )
+    return problem_from_config({
+        **example_config(example),
+        "alpha": alpha, "beta": beta, "nt": nt, "nx": nx, "kmax": kmax,
+    })
 
 
 def exact_classical(example: int, x: float, t: float) -> float:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cases import EXAMPLES, exact_classical, example_problem
+from .cases import EXAMPLES, exact_classical, example_config, example_problem
 from .forward import MarchOverflow, forward_march
 from .gammafn import frac_binom, gamma_table, log_gamma
 from .inverse import (
@@ -115,8 +115,8 @@ def _add_truncation_overrides(sub: argparse.ArgumentParser) -> None:
 
 def _load_config_dict(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return decode_config(text)
 
@@ -198,14 +198,13 @@ def _cmd_table(args) -> int:
     if not (ts[0] >= 0.0 and ts[-1] <= 1.0):
         raise ConfigError(f"t values must lie in [0, 1], got range [{ts[0]:.6g}, {ts[-1]:.6g}]")
 
-    # explicit flags always win; the built-in cases fall back to the table
-    # defaults while a custom config keeps its own truncation fields
-    overrides = {
-        field: getattr(args, field)
-        for field in ("nt", "nx", "kmax")
-        if getattr(args, field) is not None
-    }
-    cfg = _load_config_dict(args.config) if args.example is None else None
+    # explicit flags always win (`_spec_from_args`); the built-in cases fall
+    # back to the table defaults while a custom config keeps its own
+    # truncation fields
+    if args.example is not None:
+        base = {**example_config(args.example), **TABLE_DEFAULTS}
+    else:
+        base = _load_config_dict(args.config)
     # the march and both recoveries never read alpha (the Caputo derivative
     # is an index shift in the normalized basis), so the table solves once
     # per beta, keeps that solution's level values at x and sums them over
@@ -214,13 +213,7 @@ def _cmd_table(args) -> int:
 
     def values_at(alpha: float, beta: float) -> np.ndarray:
         if beta not in solved:
-            if args.example is not None:
-                sizes = {**TABLE_DEFAULTS, **overrides}
-                spec = example_problem(args.example, alpha, beta, **sizes)
-            else:
-                patched = dict(cfg)
-                patched.update(alpha=alpha, beta=beta, **overrides)
-                spec = problem_from_config(patched)
+            spec = _spec_from_args(args, {**base, "alpha": alpha, "beta": beta})
             solved[beta] = level_values(_recover(spec, "auto").solution.u, args.x_eval)
         return solved[beta]
 

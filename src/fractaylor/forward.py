@@ -158,12 +158,15 @@ def residual_check(result: ForwardResult, spec: ProblemSpec) -> float:
     """Largest mismatch (see `mismatch_scale`) between computed traces and the data.
 
     Compares entries i = 0..usable depth of both endpoint traces with mu1/mu2.
+
+    Raises:
+        WidthError: if the traces and the data share no entry.
     """
     usable = min(
         len(result.bc_trace_x0), len(result.bc_trace_x1), len(spec.mu1), len(spec.mu2)
     )
     if usable < 1:
-        raise ValueError("no usable trace depth: traces and data share no entries")
+        raise WidthError("no usable trace depth: traces and data share no entries")
     traces = np.array((result.bc_trace_x0.coeffs[:usable], result.bc_trace_x1.coeffs[:usable]))
     data = np.array((spec.mu1.coeffs[:usable], spec.mu2.coeffs[:usable]))
     with np.errstate(over="ignore"):  # far-apart finite entries differ by inf

@@ -156,7 +156,7 @@ def recover_newton(spec: ProblemSpec) -> RecoveryReport:
     Never raises on non-convergence: the report carries the best iterate
     with ``converged = False``.
     """
-    depth = min(spec.nt, len(spec.mu1) - 1, len(spec.mu2) - 1)
+    depth = max(0, min(spec.nt, len(spec.mu1) - 1, len(spec.mu2) - 1))
     n = spec.kmax + 1
     if 2 * depth < n:
         raise WidthError(f"underdetermined: {2 * depth} usable trace equations for {n} unknowns")

@@ -18,6 +18,11 @@ hard error) and explicit generators for the data sequences, e.g.::
       "f": "self",
       "p": {"kind": "coeffs", "values": [0.0, 0.0, -8.0]}
     }
+
+`problem_from_config` is the one builder of a ProblemSpec from such a
+mapping, for the built-in examples of `cases` too.  Generators: ``ml_power``
+(phi = E_beta(x^(m*beta))), ``separable`` (`synthesize_boundary`),
+``coeffs`` and ``zero``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .series import (
 __all__ = [
     "MAX_WIDTH",
     "ConfigError",
-    "GeneratorSpec",
     "ProblemSpec",
     "synthesize_boundary",
     "parse_problem",
@@ -48,8 +52,7 @@ __all__ = [
     "problem_from_config",
 ]
 
-_TOP_FIELDS = ("alpha", "beta", "nt", "nx", "kmax", "phi", "mu1", "mu2", "f")
-_GEN_KINDS = ("ml_power", "coeffs", "zero", "separable")
+_TOP_FIELDS = frozenset(("alpha", "beta", "nt", "nx", "kmax", "phi", "mu1", "mu2", "f"))
 
 # largest march width nx + 2*nt + 1 (and length of phi): the widest cached
 # gamma table whose B_beta weights are all finite at beta = 1 (544 is not)
@@ -60,39 +63,10 @@ class ConfigError(ValueError):
     """A config document or problem instance violates the schema."""
 
 
-def check_width(what: str, width: int) -> None:
+def _check_width(what: str, width: int) -> None:
     """Reject a march width above MAX_WIDTH, before any gamma table is built."""
     if width > MAX_WIDTH:
         raise ConfigError(f"{what} = {width} exceeds the march width limit {MAX_WIDTH}")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative recipe for one data sequence of a problem.
-
-    Kinds: ``ml_power`` (initial data E_beta(x^(m*beta))), ``separable``
-    (endpoint trace of a separable solution with time eigenvalue lam),
-    ``coeffs`` (explicit values), ``zero``.
-    """
-
-    kind: str
-    m: int | None = None
-    lam: float | None = None
-    values: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _GEN_KINDS:
-            raise ConfigError(f"unknown generator kind {self.kind!r}, expected one of {_GEN_KINDS}")
-        if self.kind == "ml_power" and (self.m is None or self.m < 1):
-            raise ConfigError("ml_power generator needs an integer m >= 1")
-        if self.kind == "separable" and self.lam is None:
-            raise ConfigError("separable generator needs a real lambda")
-        if self.kind == "coeffs":
-            if self.values is None:
-                raise ConfigError("coeffs generator needs a values list")
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-            if not all(math.isfinite(v) for v in self.values):
-                raise ConfigError("coeffs generator values must all be finite")
 
 
 @dataclass(frozen=True)
@@ -117,9 +91,7 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         for name in ("nt", "nx", "kmax"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+            _nonneg_int(name, getattr(self, name))
         if self.kmax > self.nx:
             raise ConfigError(f"kmax={self.kmax} must not exceed nx={self.nx}")
         required = self.nx + 2 * self.nt + 1
@@ -212,10 +184,10 @@ def decode_config(text: str) -> dict:
 
 def problem_from_config(cfg: dict) -> ProblemSpec:
     """Build a ProblemSpec from an already-decoded config mapping."""
-    unknown = sorted(set(cfg) - set(_TOP_FIELDS) - {"p"})
+    unknown = sorted(cfg.keys() - _TOP_FIELDS - {"p"})
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    missing = sorted(set(_TOP_FIELDS) - set(cfg))
+    missing = sorted(_TOP_FIELDS - cfg.keys())
     if missing:
         raise ConfigError(f"missing config fields: {', '.join(missing)}")
 
@@ -225,20 +197,20 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
         orders = FracOrders(alpha, beta)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    nt = _nonneg_int(cfg, "nt")
-    nx = _nonneg_int(cfg, "nx")
-    kmax = _nonneg_int(cfg, "kmax")
-    check_width("nx + 2*nt + 1", nx + 2 * nt + 1)
+    nt = _nonneg_int("nt", cfg["nt"])
+    nx = _nonneg_int("nx", cfg["nx"])
+    kmax = _nonneg_int("kmax", cfg["kmax"])
+    _check_width("nx + 2*nt + 1", nx + 2 * nt + 1)
 
-    phi_gen = _generator(cfg["phi"], "phi", allowed=("ml_power", "coeffs"))
-    if phi_gen.kind == "ml_power":
+    kind, value = _generator(cfg["phi"], "phi", allowed=("ml_power", "coeffs"))
+    if kind == "ml_power":
         try:
-            phi = ml_power_coeffs(beta, phi_gen.m, nx + 2 * nt)
+            phi = ml_power_coeffs(beta, value, nx + 2 * nt)
         except ValueError as exc:
             raise ConfigError(f"phi: {exc}") from exc
     else:
-        check_width("len(phi)", len(phi_gen.values))
-        phi = XSeries(beta, phi_gen.values)
+        _check_width("len(phi)", len(value))
+        phi = XSeries(beta, value)
 
     mu1 = _expand_mu(cfg, "mu1", phi, alpha, nt, "x0")
     mu2 = _expand_mu(cfg, "mu2", phi, alpha, nt, "x1")
@@ -247,8 +219,7 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
 
     p_known = None
     if "p" in cfg:
-        p_gen = _generator(cfg["p"], "p", allowed=("coeffs",))
-        p_known = XSeries(beta, p_gen.values)
+        p_known = XSeries(beta, _generator(cfg["p"], "p", allowed=("coeffs",))[1])
 
     return ProblemSpec(
         orders=orders, nt=nt, nx=nx, kmax=kmax,
@@ -257,15 +228,15 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
 
 
 def _expand_mu(cfg: dict, field: str, phi: XSeries, alpha: float, nt: int, at: str) -> TSeries:
-    gen = _generator(cfg[field], field, allowed=("zero", "separable", "coeffs"))
-    if gen.kind == "zero":
+    kind, value = _generator(cfg[field], field, allowed=("zero", "separable", "coeffs"))
+    if kind == "zero":
         return TSeries(alpha, (0.0,) * (nt + 1))
-    if gen.kind == "separable":
+    if kind == "separable":
         try:
-            return synthesize_boundary(phi, gen.lam, nt, at, alpha)
+            return synthesize_boundary(phi, value, nt, at, alpha)
         except ValueError as exc:
             raise ConfigError(f"{field}: {exc}") from exc
-    return TSeries(alpha, gen.values)
+    return TSeries(alpha, value)
 
 
 def _parse_f(raw, orders: FracOrders) -> BiFracSeries | None:
@@ -289,7 +260,13 @@ def _parse_f(raw, orders: FracOrders) -> BiFracSeries | None:
         raise ConfigError(f"f values invalid: {exc}") from exc
 
 
-def _generator(raw, field: str, allowed: tuple[str, ...]) -> GeneratorSpec:
+def _generator(raw, field: str, allowed: tuple[str, ...]) -> tuple[str, object]:
+    """The kind of a generator object and its checked parameter.
+
+    The parameter is m (an int >= 1) for ``ml_power``, lambda (a finite
+    float) for ``separable``, values (a tuple of finite floats) for
+    ``coeffs``, and None for ``zero``.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"{field} must be a generator object with a 'kind' key")
     kind = raw.get("kind")
@@ -297,32 +274,32 @@ def _generator(raw, field: str, allowed: tuple[str, ...]) -> GeneratorSpec:
         raise ConfigError(f"{field} generator kind must be one of {allowed}, got {kind!r}")
     keys = {"ml_power": {"kind", "m"}, "coeffs": {"kind", "values"},
             "zero": {"kind"}, "separable": {"kind", "lambda"}}[kind]
-    unknown = sorted(set(raw) - keys)
+    unknown = sorted(raw.keys() - keys)
     if unknown:
         raise ConfigError(f"unknown fields in {field}: {', '.join(unknown)}")
-    try:
-        if kind == "ml_power":
-            m = raw.get("m")
-            if not isinstance(m, int) or isinstance(m, bool):
-                raise ConfigError(f"{field}.m must be an integer, got {m!r}")
-            return GeneratorSpec("ml_power", m=m)
-        if kind == "separable":
-            lam = raw.get("lambda")
-            if not _is_real(lam):
-                raise ConfigError(f"{field}.lambda must be a real number, got {lam!r}")
-            if not math.isfinite(lam):
-                raise ConfigError(f"{field}.lambda must be finite, got {lam!r}")
-            return GeneratorSpec("separable", lam=float(lam))
-        if kind == "coeffs":
-            values = raw.get("values")
-            if not isinstance(values, list) or not all(map(_is_real, values)):
-                raise ConfigError(f"{field}.values must be a list of real numbers")
-            return GeneratorSpec("coeffs", values=tuple(values))
-        return GeneratorSpec("zero")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
+    if kind == "ml_power":
+        m = raw.get("m")
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise ConfigError(f"{field}.m must be an integer, got {m!r}")
+        if m < 1:
+            raise ConfigError("ml_power generator needs an integer m >= 1")
+        return kind, m
+    if kind == "separable":
+        lam = raw.get("lambda")
+        if not _is_real(lam):
+            raise ConfigError(f"{field}.lambda must be a real number, got {lam!r}")
+        if not math.isfinite(lam):
+            raise ConfigError(f"{field}.lambda must be finite, got {lam!r}")
+        return kind, float(lam)
+    if kind == "coeffs":
+        values = raw.get("values")
+        if not isinstance(values, list) or not all(map(_is_real, values)):
+            raise ConfigError(f"{field}.values must be a list of real numbers")
+        values = tuple(map(float, values))
+        if not all(map(math.isfinite, values)):
+            raise ConfigError("coeffs generator values must all be finite")
+        return kind, values
+    return kind, None
 
 
 def _is_real(value) -> bool:
@@ -342,8 +319,7 @@ def _real(cfg: dict, field: str) -> float:
     return float(value)
 
 
-def _nonneg_int(cfg: dict, field: str) -> int:
-    value = cfg.get(field)
+def _nonneg_int(field: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ConfigError(f"{field} must be a nonnegative integer, got {value!r}")
     return value

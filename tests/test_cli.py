@@ -423,6 +423,26 @@ def test_table_without_time_levels_is_solver_error(capsys):
     )
 
 
+# nt = 0 leaves one trace level, and an empty mu1 shares none of it
+EMPTY_MU1 = {"nt": 0, "mu1": {"kind": "coeffs", "values": []},
+             "mu2": {"kind": "coeffs", "values": [1.0, 2.0]}}
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["invert", "--mode", "separable"], "no usable trace depth"),
+        (["invert"], "no usable trace depth"),
+        (["table"], "no usable trace depth"),
+        (["invert", "--mode", "newton"], "underdetermined: 0 usable trace equations for 5 unknowns"),
+    ],
+    ids=["separable", "auto", "table", "newton"],
+)
+def test_empty_trace_data_is_solver_error(tmp_path, capsys, argv, text):
+    cfg = write_config(tmp_path, **EMPTY_MU1)
+    assert_one_line_solver_error(*run(capsys, *argv, "--config", cfg), text)
+
+
 def test_table_validation_errors(tmp_path, capsys):
     code, _, err = run(capsys, *TABLE_ARGS[:-1], "0")  # rows = 0
     assert code == 2 and "rows" in err
@@ -504,6 +524,14 @@ def test_undecodable_json_is_config_error(tmp_path, capsys, old, new):
     path.write_text(path.read_text().replace(old, new))
     assert new in path.read_text()
     assert_one_line_config_error(*run(capsys, "invert", "--config", str(path)))
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "invert", "--config", str(path))
+    assert_one_line_config_error(code, out, err)
+    assert f"cannot read config {path}: 'utf-8' codec can't decode" in err
 
 
 def test_forward_rejects_nan_x(tmp_path, capsys):
@@ -661,7 +689,7 @@ def no_wide_tables(monkeypatch):
         # nx + 2*nt + 1 = 513
         (["--example", "1", "--nt", "248"], "march width limit 512"),
         (["--example", "2", "--nx", "496", "--nt", "8"], "march width limit 512"),
-        (["--example", "1", "--nt", "-1"], "nt must be >= 0"),
+        (["--example", "1", "--nt", "-1"], "nt must be a nonnegative integer, got -1"),
         # phi is finite, the march at beta = 1 overflows at level 2
         (["--example", "2", "--nt", "9", "--nx", "200", "--kmax", "0", "--rows", "1"],
          "march overflows"),
@@ -673,6 +701,16 @@ def test_table_oversized_or_overflowing_problem_is_config_error(
     code, out, err = run(capsys, "table", *argv)
     assert_one_line_config_error(code, out, err)
     assert message in err
+
+
+@pytest.mark.parametrize("nt", ["-1", "140"], ids=["negative-nt", "ml-power-overflow"])
+def test_table_example_errors_read_like_its_config(tmp_path, capsys, no_wide_tables, nt):
+    # example 1 at the table sizes, written out as a config file
+    cfg = write_config(tmp_path, **TABLE_DEFAULTS)
+    from_example = run(capsys, "table", "--example", "1", "--nt", nt)
+    from_config = run(capsys, "table", "--config", cfg, "--nt", nt)
+    assert_one_line_config_error(*from_example)
+    assert from_example == from_config
 
 
 @pytest.mark.parametrize(

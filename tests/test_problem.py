@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from fractaylor import (
     ConfigError,
-    GeneratorSpec,
     ProblemSpec,
     FracOrders,
     TSeries,
@@ -124,15 +123,20 @@ def test_parse_rejects_overlong_p():
         parse_problem(json.dumps(cfg))
 
 
-def test_generator_spec_validation():
+@pytest.mark.parametrize(
+    "field, generator",
+    [
+        ("phi", {"kind": "ml_power"}),
+        ("phi", {"kind": "ml_power", "m": 0}),
+        ("mu2", {"kind": "separable"}),
+        ("mu1", {"kind": "coeffs"}),
+        ("mu1", {"kind": "bogus"}),
+    ],
+    ids=["missing-m", "m-zero", "missing-lambda", "missing-values", "unknown-kind"],
+)
+def test_generator_validation(field, generator):
     with pytest.raises(ConfigError):
-        GeneratorSpec("ml_power")  # missing m
-    with pytest.raises(ConfigError):
-        GeneratorSpec("separable")  # missing lambda
-    with pytest.raises(ConfigError):
-        GeneratorSpec("coeffs")  # missing values
-    with pytest.raises(ConfigError):
-        GeneratorSpec("bogus")
+        parse_problem(json.dumps(example1_config(**{field: generator})))
 
 
 def test_problem_spec_invariants():
