@@ -13,32 +13,31 @@ Two routes are provided:
   problems in the classical limit.
 
 * `recover_newton` - general data.  Minimizes the stacked trace mismatches
-  over p by damped Gauss-Newton (step halving) starting from the zero
-  vector.  The Jacobian is exact: the march carries its tangent d a / d p
-  (`march_arrays`), so one march gives the mismatch and its Jacobian
-  together.  Each distinct iterate is marched once: the march does not
-  depend on the trace depth, so an accepted point hands its march to the
-  next step, the next depth and the report.  A line-search trial that
-  rounds to the current iterate ends the search as failed, as would
-  every smaller step; one that rounds to the trial just rejected is
-  skipped unmarched.  For a known source f the traces are affine in p:
-  the first exact step from p = 0 is the least-squares solution, so the
-  solve is two marches and one lstsq.  Each mismatch row is divided
-  by max(1, |data entry|) (`mismatch_scale`, as in `residual_check`),
-  so the convergence test ||r||_inf <= NEWTON_TOL is relative; without
-  the normalization the rows span tens of orders of magnitude and no float
-  tolerance is meaningful.  A single Gauss-Newton sweep from zero stalls
-  in local minima on random self-coupled instances, so a self-coupled
-  solve warms up through increasing trace depths (depth d uses only the
-  first d time levels of data) before the full-depth iteration; a known
-  source starts at full depth.  The reported iteration count is that of
-  the full-depth loop.  The report converges when its forward residual,
-  which also reads level 0 of the traces (fixed by phi alone and never
-  fitted), is at most NEWTON_TOL.  On 3600 seed-drawn roundtrip
-  instances (kmax 0-4, beta in {1, 0.9, 0.7}, a third with a known
-  source) the warm-up with forward-difference Jacobians stalled on 7, the
-  warm-up with exact Jacobians on the same 7, and exact Jacobians without
-  the warm-up on 223.
+  over p by damped Gauss-Newton (step halving) from p = 0.  The Jacobian
+  is exact: the march carries its tangent d a / d p (`march_arrays`), so
+  one march gives the mismatch and its Jacobian.  Each distinct iterate is
+  marched once: the march does not depend on the trace depth, so an
+  accepted point hands its march to the next step, the next depth and the
+  report.  A line-search trial that rounds to the current iterate ends the
+  search as failed, as would every smaller step; one that rounds to the
+  trial just rejected is skipped unmarched.  For a known source f the
+  traces are affine in p and their Jacobian does not depend on p: the
+  first exact step from p = 0 is the least-squares solution, so the solve
+  is one tangent march at p = 0, one plain march at the solution and one
+  least-squares solve.  Each mismatch row is divided by
+  max(1, |data entry|) (`mismatch_scale`, as in `residual_check`), so the
+  test ||r||_inf <= NEWTON_TOL is relative; unnormalized rows span tens of
+  orders of magnitude.  A single Gauss-Newton sweep from zero stalls in
+  local minima on random self-coupled instances, so a self-coupled solve
+  warms up through increasing trace depths (depth d fits only the first d
+  levels of data) before the full-depth iteration; a known source starts
+  at full depth.  The reported iteration count is that of the full-depth
+  loop.  The report converges when its forward residual, which also reads
+  level 0 of the traces (fixed by phi alone and never fitted), is at most
+  NEWTON_TOL.  On 3600 seed-drawn roundtrip instances (kmax 0-4, beta in
+  {1, 0.9, 0.7}, a third with a known source) the warm-up with
+  forward-difference Jacobians stalled on 7, the warm-up with exact
+  Jacobians on the same 7, and exact Jacobians without the warm-up on 223.
 """
 
 from __future__ import annotations
@@ -161,17 +160,18 @@ def recover_newton(spec: ProblemSpec) -> RecoveryReport:
     if 2 * depth < n:
         raise WidthError(f"underdetermined: {2 * depth} usable trace equations for {n} unknowns")
 
+    data = np.array((spec.mu1.coeffs[1 : depth + 1], spec.mu2.coeffs[1 : depth + 1]))
+    scale = 1.0 / mismatch_scale(data)
     p = np.zeros(n)
     march = march_arrays(spec, p, tangent=True)
-    # warm-up, self-coupled only: track the solution through shallower trace
-    # depths; a known source is affine in p and needs none
+    # warm-up through shallower depths, self-coupled only: a known source is affine in p
     for d in range(1, depth if spec.self_coupled else 1):
-        p, march, *_ = _gauss_newton(spec, p, march, d, WARMUP_TOL, WARMUP_MAX_ITER)
-    p, march, it, _, jac = _gauss_newton(spec, p, march, depth, NEWTON_TOL, NEWTON_MAX_ITER)
+        p, march, *_ = _gauss_newton(spec, p, march, data[:, :d], scale[:, :d],
+                                     WARMUP_TOL, WARMUP_MAX_ITER)
+    p, march, it, jac = _gauss_newton(spec, p, march, data, scale, NEWTON_TOL, NEWTON_MAX_ITER)
     rank_deficient = bool(np.all(np.isfinite(jac)) and np.linalg.matrix_rank(jac) < n)
     p_series = XSeries(spec.orders.beta, tuple(p.tolist()))
-    solution = _forward_result(spec, *march[:2])
-    return _report(spec, p_series, solution, "newton", it, rank_deficient)
+    return _report(spec, p_series, _forward_result(spec, *march[:2]), "newton", it, rank_deficient)
 
 
 def _report(
@@ -191,31 +191,28 @@ def _report(
 
 
 def _read_march(
-    spec: ProblemSpec, march: tuple, depth: int, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized trace mismatches at levels 1..depth and their exact Jacobian in p.
+    march: tuple, data: np.ndarray, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Normalized trace mismatches against data and their exact Jacobian in p, from one march.
 
-    Both are read from a tangent march of p; the depth only picks the levels
-    read.  A march that overflows anywhere gives an inf mismatch and Jacobian.
+    ``data`` holds mu1 and mu2 at levels 1..depth, ``scale`` 1 / mismatch_scale(data).  The
+    Jacobian is None for a march without its tangent; an overflowing march gives all inf.
     """
     _, traces, jac = march
+    depth = data.shape[1]
+    if jac is not None:
+        jac = (jac[:, 1 : depth + 1] * scale[:, :, None]).reshape(data.size, -1)
     if not np.all(np.isfinite(traces)):
-        return np.full(2 * depth, np.inf), np.full((2 * depth, jac.shape[2]), np.inf)
-    r = (traces[:, 1 : depth + 1] - _newton_data(spec, depth)).reshape(-1) * weights
-    return r, jac[:, 1 : depth + 1].reshape(2 * depth, -1) * weights[:, None]
-
-
-def _newton_data(spec: ProblemSpec, depth: int) -> np.ndarray:
-    """mu1 and mu2 at levels 1..depth, the rows the Newton residual matches."""
-    return np.array((spec.mu1.coeffs[1 : depth + 1], spec.mu2.coeffs[1 : depth + 1]))
+        return np.full(data.size, np.inf), None if jac is None else np.full_like(jac, np.inf)
+    return ((traces[:, 1 : depth + 1] - data) * scale).reshape(-1), jac
 
 
 def _gauss_newton(
-    spec: ProblemSpec, p: np.ndarray, march: tuple, depth: int, tol: float, max_iter: int
-) -> tuple[np.ndarray, tuple, int, bool, np.ndarray]:
-    """From p and its tangent march to (last iterate, its march, steps, met tol, Jacobian)."""
-    weights = 1.0 / mismatch_scale(_newton_data(spec, depth)).reshape(-1)
-    r, jac = _read_march(spec, march, depth, weights)
+    spec: ProblemSpec, p: np.ndarray, march: tuple, data: np.ndarray, scale: np.ndarray,
+    tol: float, max_iter: int,
+) -> tuple[np.ndarray, tuple, int, np.ndarray]:
+    """From p and its tangent march to (last iterate, its march, steps, Jacobian)."""
+    r, jac = _read_march(march, data, scale)
     it = 0
     # a finite trial mismatch may still overflow its norm: inf is not < best
     with np.errstate(over="ignore"):
@@ -233,14 +230,16 @@ def _gauss_newton(
                 if np.array_equal(candidate, p):  # every smaller s rounds to p: the search fails
                     break
                 if candidate.tobytes() != rejected:  # the same bits would be rejected again
-                    trial = march_arrays(spec, candidate, tangent=True)
-                    r_new, jac_new = _read_march(spec, trial, depth, weights)
+                    # a known source's Jacobian does not depend on p: keep the first
+                    trial = march_arrays(spec, candidate, tangent=spec.self_coupled)
+                    r_new, jac_new = _read_march(trial, data, scale)
                     if np.linalg.norm(r_new) < best:
-                        p, march, r, jac = candidate, trial, r_new, jac_new
+                        p, march, r = candidate, trial, r_new
+                        jac = jac if jac_new is None else jac_new
                         break
                     rejected = candidate.tobytes()
                 s *= 0.5
             if p is not candidate:  # no trial was accepted
                 break
             it += 1
-    return p, march, it, bool(np.max(np.abs(r)) <= tol), jac
+    return p, march, it, jac

@@ -192,7 +192,8 @@ def test_overflowing_march_raises_value_error_without_warnings():
         with pytest.raises(ValueError, match="non-finite"):
             forward_march(spec, XSeries(0.7, p))
         # the Newton residual turns the same failure into an inf mismatch
-        r, _ = _read_march(spec, march_arrays(spec, np.array(p), tangent=True), 3, np.ones(6))
+        data = np.array((spec.mu1.coeffs[1:4], spec.mu2.coeffs[1:4]))
+        r, _ = _read_march(march_arrays(spec, np.array(p), tangent=True), data, np.ones((2, 3)))
     assert np.all(np.isinf(r))
 
 

@@ -306,13 +306,15 @@ def test_newton_residual_and_jacobian_come_from_one_march():
             spec = roundtrip_spec(beta, pstar, nt, nx)
         p = rng.uniform(-5, 5, kmax + 1)
         for depth in range(1, nt + 1):
-            weights = rng.uniform(0.1, 1.0, 2 * depth)
-            r, jac = _read_march(spec, march_arrays(spec, p, tangent=True), depth, weights)
+            scale = rng.uniform(0.1, 1.0, (2, depth))
+            data = np.array((spec.mu1.coeffs[1 : depth + 1], spec.mu2.coeffs[1 : depth + 1]))
+            r, jac = _read_march(march_arrays(spec, p, tangent=True), data, scale)
             assert jac.shape == (2 * depth, kmax + 1)
     # an overflowing march: inf from both, with an inf Jacobian
     spec = example_problem(1, 0.7, 0.7, nt=4, nx=4, kmax=2)
     p = np.array([1e300, -1e300, 1e300])
-    r, jac = _read_march(spec, march_arrays(spec, p, tangent=True), 2, np.ones(4))
+    data = np.array((spec.mu1.coeffs[1:3], spec.mu2.coeffs[1:3]))
+    r, jac = _read_march(march_arrays(spec, p, tangent=True), data, np.ones((2, 2)))
     assert np.all(np.isinf(r)) and np.all(np.isinf(jac))
 
 
@@ -389,12 +391,18 @@ def test_stalled_line_search_never_retries_the_iterate(march_log):
     assert len(set(march_log)) == len(march_log)
 
 
-def level_one_march(spec, misses, jac_column):
-    """A kmax = 0 tangent march whose level-1 traces miss the data by ``misses``."""
-    from fractaylor import inverse
+def level_one_data(spec):
+    """mu1 and mu2 at level 1, the data of a depth-1 Gauss-Newton loop, and its scale."""
+    from fractaylor.forward import mismatch_scale
 
+    data = np.array((spec.mu1.coeffs[1:2], spec.mu2.coeffs[1:2]))
+    return data, 1.0 / mismatch_scale(data)
+
+
+def level_one_march(spec, data, misses, jac_column):
+    """A kmax = 0 tangent march whose level-1 traces miss ``data`` by ``misses``."""
     traces = np.zeros((2, spec.nt + 1))
-    traces[:, 1] = inverse._newton_data(spec, 1)[:, 0] + misses
+    traces[:, 1] = data[:, 0] + misses
     jac = np.zeros((2, spec.nt + 1, 1))
     jac[:, 1, 0] = jac_column
     return None, traces, jac
@@ -406,13 +414,14 @@ def test_line_search_overflowing_norm_is_silent(monkeypatch):
     from fractaylor import inverse
 
     spec = example_problem(1, 1.0, 1.0, nt=2, nx=6, kmax=0)
-    start = level_one_march(spec, (1.0, 0.0), (1.0, 0.0))
-    huge = level_one_march(spec, (1e200, 1e200), (1.0, 0.0))
+    data, scale = level_one_data(spec)
+    start = level_one_march(spec, data, (1.0, 0.0), (1.0, 0.0))
+    huge = level_one_march(spec, data, (1e200, 1e200), (1.0, 0.0))
     monkeypatch.setattr(inverse, "march_arrays", lambda spec, p, tangent: huge)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p, march, it, converged, _ = inverse._gauss_newton(spec, np.zeros(1), start, 1, 1e-10, 5)
-    assert (p.tolist(), march is start, it, converged) == ([0.0], True, 0, False)
+        p, march, it, _ = inverse._gauss_newton(spec, np.zeros(1), start, data, scale, 1e-10, 5)
+    assert (p.tolist(), march is start, it) == ([0.0], True, 0)
 
 
 def test_line_search_skips_a_repeat_of_the_rejected_trial(monkeypatch):
@@ -422,8 +431,9 @@ def test_line_search_skips_a_repeat_of_the_rejected_trial(monkeypatch):
 
     ulp = math.ulp(1.0)
     spec = example_problem(1, 1.0, 1.0, nt=2, nx=6, kmax=0)
-    start = level_one_march(spec, (-1.25 * ulp, 0.0), (1.0, 0.0))
-    worse = level_one_march(spec, (1.0, 0.0), (1.0, 0.0))
+    data, scale = level_one_data(spec)
+    start = level_one_march(spec, data, (-1.25 * ulp, 0.0), (1.0, 0.0))
+    worse = level_one_march(spec, data, (1.0, 0.0), (1.0, 0.0))
     trials = []
 
     def counting_march(spec, p, tangent):
@@ -431,17 +441,19 @@ def test_line_search_skips_a_repeat_of_the_rejected_trial(monkeypatch):
         return worse
 
     monkeypatch.setattr(inverse, "march_arrays", counting_march)
-    p, march, it, converged, _ = inverse._gauss_newton(spec, np.ones(1), start, 1, 0.0, 5)
+    p, march, it, _ = inverse._gauss_newton(spec, np.ones(1), start, data, scale, 0.0, 5)
     assert trials == [[1.0 + ulp]]
-    assert (p.tolist(), march is start, it, converged) == ([1.0], True, 0, False)
+    assert (p.tolist(), march is start, it) == ([1.0], True, 0)
 
 
 @pytest.fixture
 def solver_log(monkeypatch):
-    """Counts of the marches, lstsq calls and `_gauss_newton` calls of a solve."""
+    """Counts of the marches (tangent or plain, and tangent at p = 0), lstsq calls
+    and `_gauss_newton` calls of a solve."""
     from fractaylor import inverse
 
     counts = collections.Counter()
+    march = inverse.march_arrays
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -449,7 +461,13 @@ def solver_log(monkeypatch):
             return function(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(inverse, "march_arrays", counting("march", inverse.march_arrays))
+    def counting_march(spec, p, *, tangent=False):
+        counts["tangent march" if tangent else "plain march"] += 1
+        if tangent and not np.any(p):
+            counts["tangent march at 0"] += 1
+        return march(spec, p, tangent=tangent)
+
+    monkeypatch.setattr(inverse, "march_arrays", counting_march)
     monkeypatch.setattr(inverse, "_gauss_newton", counting("gauss_newton", inverse._gauss_newton))
     monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
     return counts
@@ -458,7 +476,9 @@ def solver_log(monkeypatch):
 def test_newton_known_source_is_one_step(solver_log):
     # the march is affine in p for a known source, so with the exact
     # Jacobian one Gauss-Newton step from p = 0 solves it, without the
-    # warm-up: a march at 0, one least-squares solve, a march at its solution
+    # warm-up; the Jacobian does not depend on p, so only the march at 0
+    # carries the tangent: a tangent march at 0, one least-squares solve,
+    # a plain march at its solution
     rng = random.Random(2024)
     for kmax in range(5):
         for beta in (1.0, 0.7):
@@ -466,12 +486,31 @@ def test_newton_known_source_is_one_step(solver_log):
             spec = known_source_roundtrip_spec(beta, pstar, kmax + 2, max(kmax, 4), rng)
             solver_log.clear()
             report = recover_newton(spec)
-            assert solver_log == {"march": 2, "lstsq": 1, "gauss_newton": 1}
+            assert solver_log == {
+                "tangent march": 1, "tangent march at 0": 1, "plain march": 1,
+                "lstsq": 1, "gauss_newton": 1,
+            }
             assert report.converged
             assert report.iterations == 1
             assert not report.rank_deficient
             worst = max(abs(a - b) for a, b in zip(report.p.coeffs, pstar))
             assert worst <= 1e-7, (kmax, beta, worst)
+
+
+def test_known_source_jacobian_does_not_depend_on_p():
+    # the invariant behind the single tangent march of a known-source solve:
+    # without the W @ d term the tangent has the same bytes at every p
+    from fractaylor.forward import march_arrays
+
+    rng = np.random.default_rng(7)
+    for spec in pool_shaped_specs():
+        p, q = rng.uniform(-5.0, 5.0, (2, spec.kmax + 1))
+        jac_p = march_arrays(spec, p, tangent=True)[2]
+        jac_q = march_arrays(spec, q, tangent=True)[2]
+        if spec.self_coupled:
+            assert jac_p.tobytes() != jac_q.tobytes()
+        else:
+            assert jac_p.tobytes() == jac_q.tobytes()
 
 
 def test_newton_self_coupled_source_warms_up_through_every_depth(solver_log):
