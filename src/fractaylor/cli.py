@@ -176,8 +176,8 @@ def _cmd_invert(args) -> int:
     if report.rank_deficient:
         print("warning: Jacobian is rank deficient at the solution")
     print(f"{'k':>4}  {'coefficient':>16}  {'monomial':>16}")
-    rgamma = gamma_table(spec.orders.beta, len(report.p.coeffs)).rgamma.tolist()
-    for k, coeff in enumerate(report.p.coeffs):
+    rgamma = gamma_table(spec.orders.beta, len(report.p)).rgamma.tolist()
+    for k, coeff in enumerate(report.p.coeffs.tolist()):
         print(f"{k:>4}  {coeff:>16.10g}  {coeff * rgamma[k]:>16.10g}")
     if report.mode == "newton" and not report.converged:
         return 4

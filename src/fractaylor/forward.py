@@ -26,7 +26,6 @@ of the march).  W and the tangent's product term read `gammafn.product_table`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,13 +40,20 @@ class MarchOverflow(ValueError):
     """A marched coefficient left the float range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardResult:
-    """Solution series plus its endpoint derivative-trace sequences."""
+    """The solution series and its endpoint ``traces``, the (2, nt + 1) array of `march_arrays`."""
 
     u: BiFracSeries
-    bc_trace_x0: TSeries
-    bc_trace_x1: TSeries
+    traces: np.ndarray
+
+    @property
+    def bc_trace_x0(self) -> TSeries:
+        return TSeries(self.u.orders.alpha, self.traces[0])
+
+    @property
+    def bc_trace_x1(self) -> TSeries:
+        return TSeries(self.u.orders.alpha, self.traces[1])
 
 
 def forward_march(spec: ProblemSpec, p: XSeries) -> ForwardResult:
@@ -58,7 +64,7 @@ def forward_march(spec: ProblemSpec, p: XSeries) -> ForwardResult:
     width >= 1, enforced up front, so all nt + 1 trace entries exist).
 
     Raises:
-        MarchOverflow: if a coefficient of the march is not finite.
+        MarchOverflow: if a coefficient or a trace of the march is not finite.
     """
     if p.beta != spec.orders.beta:
         raise ValueError("p is expressed at a different beta than the problem orders")
@@ -69,26 +75,24 @@ def forward_march(spec: ProblemSpec, p: XSeries) -> ForwardResult:
 def _forward_result(spec: ProblemSpec, a: np.ndarray, traces: np.ndarray) -> ForwardResult:
     """The `ForwardResult` of the levels and traces of a `march_arrays` run.
 
-    The solution takes ``a`` over without a copy, and ``a`` becomes read-only.
+    The result takes ``a`` and ``traces`` over without a copy; both become read-only.
 
     Raises:
-        MarchOverflow: if a coefficient of the march is not finite.
+        MarchOverflow: if a coefficient or a trace of the march is not finite.
     """
     sizes = tuple(range(a.shape[1], a.shape[1] - 2 * len(a), -2))
     try:
         u = BiFracSeries._from_padded(spec.orders, a, sizes)
     except ValueError as exc:  # every level is nonempty: a non-finite coefficient
         raise MarchOverflow(f"the march overflows the float range: {exc}") from exc
-    alpha = spec.orders.alpha
-    return ForwardResult(
-        u=u,
-        bc_trace_x0=TSeries(alpha, tuple(traces[0].tolist())),
-        bc_trace_x1=TSeries(alpha, tuple(traces[1].tolist())),
-    )
+    if not np.isfinite(traces).all():  # the x = 1 trace sums a whole level
+        raise MarchOverflow("the x = 1 trace of the march overflows the float range")
+    traces.flags.writeable = False
+    return ForwardResult(u, traces)
 
 
 def march_arrays(
-    spec: ProblemSpec, p: Sequence[float], *, tangent: bool = False
+    spec: ProblemSpec, p: np.ndarray, *, tangent: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The march of p as arrays: (a, T, J).
 
@@ -162,12 +166,9 @@ def residual_check(result: ForwardResult, spec: ProblemSpec) -> float:
     Raises:
         WidthError: if the traces and the data share no entry.
     """
-    usable = min(
-        len(result.bc_trace_x0), len(result.bc_trace_x1), len(spec.mu1), len(spec.mu2)
-    )
+    usable = min(result.traces.shape[1], len(spec.mu1), len(spec.mu2))
     if usable < 1:
         raise WidthError("no usable trace depth: traces and data share no entries")
-    traces = np.array((result.bc_trace_x0.coeffs[:usable], result.bc_trace_x1.coeffs[:usable]))
     data = np.array((spec.mu1.coeffs[:usable], spec.mu2.coeffs[:usable]))
     with np.errstate(over="ignore"):  # far-apart finite entries differ by inf
-        return float(np.max(np.abs(traces - data) / mismatch_scale(data)))
+        return float(np.max(np.abs(result.traces[:, :usable] - data) / mismatch_scale(data)))

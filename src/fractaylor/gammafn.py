@@ -155,7 +155,7 @@ def ml_power_coeffs(beta: float, m: int, jmax: int):
     if not np.isfinite(coeffs).all():
         raise ValueError(f"the ml_power generator with m = {m} overflows the float range "
                          f"within {jmax + 1} coefficients")
-    return XSeries(beta=beta, coeffs=tuple(coeffs.tolist()))
+    return XSeries(beta=beta, coeffs=coeffs)
 
 
 def _check_order(beta: float) -> None:

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import (
-    ForwardResult, _forward_result, forward_march, march_arrays, mismatch_scale, residual_check,
+    ForwardResult, MarchOverflow, _forward_result, forward_march, march_arrays, mismatch_scale,
+    residual_check,
 )
 from .gammafn import convolution_matrix
 from .problem import ProblemSpec
@@ -104,6 +105,7 @@ def recover_separable(spec: ProblemSpec) -> RecoveryReport:
         NotSeparable: data fails the ratio test or the source is a known
             series rather than self-coupled.
         DegenerateData: phi_0 = 0 or mu2 carries no signal.
+        MarchOverflow: a coefficient of p, or of its march, is not finite.
     """
     if not spec.self_coupled:
         raise NotSeparable("separable recovery applies to the self-coupled source form only")
@@ -124,23 +126,25 @@ def recover_separable(spec: ProblemSpec) -> RecoveryReport:
     # (B_beta is symmetric): lower triangular with phi_0 on the diagonal
     a = convolution_matrix(phi, beta, n)
     p = np.zeros(n)
-    for m in range(n):
-        p[m] = (lam * phi[m] - phi[m + 2] - a[m, :m] @ p[:m]) / phi[0]
-    p_series = XSeries(beta, tuple(p.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite p is rejected below
+        for m in range(n):
+            p[m] = (lam * phi[m] - phi[m + 2] - a[m, :m] @ p[:m]) / phi[0]
+    if not np.isfinite(p).all():
+        raise MarchOverflow("the separable solve for p overflows the float range")
+    p_series = XSeries(beta, p)
     return _report(spec, p_series, forward_march(spec, p_series), "separable", lam=lam)
 
 
-def _estimate_eigenvalue(mu2: tuple[float, ...]) -> float:
-    nonzero = [i for i, v in enumerate(mu2) if v != 0.0]
-    if not nonzero:
+def _estimate_eigenvalue(mu2: np.ndarray) -> float:
+    nonzero = np.flatnonzero(mu2)
+    if not nonzero.size:
         raise DegenerateData("mu2 is identically zero: no boundary signal")
     i0 = nonzero[0]
     if i0 + 1 >= len(mu2):
         raise NotSeparable("mu2 has no usable consecutive pair to estimate the eigenvalue")
-    lam = mu2[i0 + 1] / mu2[i0]
-    m = np.array(mu2)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan compare as Python floats
-        fails = np.abs(m[1:] - lam * m[:-1]) > SEPARABLE_TOL * mismatch_scale(m[:-1])
+        lam = float(mu2[i0 + 1] / mu2[i0])
+        fails = np.abs(mu2[1:] - lam * mu2[:-1]) > SEPARABLE_TOL * mismatch_scale(mu2[:-1])
     i = int(fails.argmax())  # the first failing pair, if any fails
     if fails[i]:
         raise NotSeparable(
@@ -170,7 +174,7 @@ def recover_newton(spec: ProblemSpec) -> RecoveryReport:
                                      WARMUP_TOL, WARMUP_MAX_ITER)
     p, march, it, jac = _gauss_newton(spec, p, march, data, scale, NEWTON_TOL, NEWTON_MAX_ITER)
     rank_deficient = bool(np.all(np.isfinite(jac)) and np.linalg.matrix_rank(jac) < n)
-    p_series = XSeries(spec.orders.beta, tuple(p.tolist()))
+    p_series = XSeries(spec.orders.beta, p)
     return _report(spec, p_series, _forward_result(spec, *march[:2]), "newton", it, rank_deficient)
 
 

@@ -136,19 +136,22 @@ def synthesize_boundary(
     truncated forward model rather than with an analytic limit.
 
     Raises:
-        ValueError: if a term overflows the float range.
+        ValueError: if the trace constant or a term overflows the float range.
     """
     if nt < 0:
         raise ValueError(f"nt must be >= 0, got {nt}")
     if at == "x0":
         if len(phi) < 2:
             raise WidthError("need width >= 1 to take a derivative trace")
-        c = phi.coeffs[1]
+        c = float(phi.coeffs[1])  # Python floats: an overflowing product below is inf, silently
     elif at == "x1":
         c = deriv_trace_at_one(phi.coeffs, phi.beta)
+        if not math.isfinite(c):
+            raise ValueError("the x = 1 trace of phi overflows the float range")
     else:
         raise ValueError(f"at must be 'x0' or 'x1', got {at!r}")
     try:
+        # Python's lam**i, not np.power: the two differ in the last bit for some (lam, i)
         values = tuple(lam**i * c for i in range(nt + 1))
     except OverflowError:  # lam**i itself; an overflowing product is inf instead
         values = (math.inf,)
@@ -255,7 +258,7 @@ def _parse_f(raw, orders: FracOrders) -> BiFracSeries | None:
     if not all(_is_real(c) for level in values for c in level):
         raise ConfigError("f values must be lists of real numbers")
     try:
-        return BiFracSeries(orders, tuple(tuple(level) for level in values))
+        return BiFracSeries(orders, values)
     except ValueError as exc:
         raise ConfigError(f"f values invalid: {exc}") from exc
 
@@ -264,7 +267,7 @@ def _generator(raw, field: str, allowed: tuple[str, ...]) -> tuple[str, object]:
     """The kind of a generator object and its checked parameter.
 
     The parameter is m (an int >= 1) for ``ml_power``, lambda (a finite
-    float) for ``separable``, values (a tuple of finite floats) for
+    float) for ``separable``, values (a list of finite reals) for
     ``coeffs``, and None for ``zero``.
     """
     if not isinstance(raw, dict):
@@ -295,7 +298,6 @@ def _generator(raw, field: str, allowed: tuple[str, ...]) -> tuple[str, object]:
         values = raw.get("values")
         if not isinstance(values, list) or not all(map(_is_real, values)):
             raise ConfigError(f"{field}.values must be a list of real numbers")
-        values = tuple(map(float, values))
         if not all(map(math.isfinite, values)):
             raise ConfigError("coeffs generator values must all be finite")
         return kind, values

@@ -14,13 +14,16 @@ by a spatial series into a convolution weighted by B_beta (the kernel
 ("raw") coefficients exist only at the conversion boundary provided by
 `raw_from_normalized`/`normalized_from_raw`.
 
-All series values are immutable after construction; every operation returns
-a new value, so instances may be shared freely across threads.
+Every series stores read-only float64 arrays: ``XSeries.coeffs`` and
+``TSeries.coeffs`` are 1-D, ``BiFracSeries.array`` is the padded table, and
+``BiFracSeries.levels`` is the one tuple view.  A constructor copies its
+input, so instances are immutable and may be shared freely across threads;
+every operation returns a new value.  Two series are equal only when they
+are the same object.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -62,9 +65,12 @@ def _check_unit_interval_order(name: str, value: float) -> None:
 
 def _init_series(series, order: str) -> None:
     _check_unit_interval_order(order, getattr(series, order))
-    coeffs = tuple(map(float, series.coeffs))
-    if not all(map(math.isfinite, coeffs)):
+    coeffs = np.array(series.coeffs, dtype=float)
+    if coeffs.ndim != 1:
+        raise ValueError(f"{type(series).__name__} coefficients must be 1-D, got {coeffs.ndim}-D")
+    if not np.isfinite(coeffs).all():
         raise ValueError(f"{type(series).__name__} coefficients must all be finite")
+    coeffs.flags.writeable = False
     object.__setattr__(series, "coeffs", coeffs)
 
 
@@ -80,12 +86,12 @@ class FracOrders:
         _check_unit_interval_order("beta", self.beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XSeries:
     """Spatial coefficient sequence in the basis x^(j*beta)/Gamma(j*beta+1)."""
 
     beta: float
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         _init_series(self, "beta")
@@ -94,12 +100,12 @@ class XSeries:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TSeries:
     """Temporal coefficient sequence in the basis t^(i*alpha)/Gamma(i*alpha+1)."""
 
     alpha: float
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         _init_series(self, "alpha")
@@ -108,7 +114,7 @@ class TSeries:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class BiFracSeries:
     """Trapezoidally truncated bivariate series in the normalized basis.
 
@@ -157,16 +163,6 @@ class BiFracSeries:
         array.flags.writeable = False
         self.__dict__.update(orders=orders, array=array, sizes=sizes)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiFracSeries):
-            return NotImplemented
-        return (self.orders, self.sizes) == (other.orders, other.sizes) and bool(
-            np.array_equal(self.array, other.array)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.orders, self.sizes))
-
     @property
     def levels(self) -> tuple[tuple[float, ...], ...]:
         """``levels[i][j]`` = a[i][j], one tuple of Python floats per time level."""
@@ -180,12 +176,6 @@ class BiFracSeries:
     def width(self, i: int) -> int:
         """Largest stored spatial index at time level i."""
         return self.sizes[i] - 1
-
-    def coeff(self, i: int, j: int) -> float:
-        """Stored coefficient a[i][j]; raises IndexError outside the trapezoid."""
-        if not 0 <= i <= self.nt or not 0 <= j <= self.width(i):
-            raise IndexError(f"coefficient ({i}, {j}) is outside the stored trapezoid")
-        return float(self.array[i, j])
 
 
 def eval_series(s: BiFracSeries, x: float, t: float | Sequence[float]) -> float | np.ndarray:
@@ -315,9 +305,10 @@ def _rgammas(orders: FracOrders, nlevels: int, width: int) -> tuple[list[float],
             gamma_table(orders.beta, width).rgamma.tolist())
 
 
-def deriv_trace_at_one(coeffs: Sequence[float], beta: float) -> float:
+def deriv_trace_at_one(coeffs: np.ndarray, beta: float) -> float:
     """Value at x = 1 of the order-beta derivative of a spatial sequence."""
     if len(coeffs) < 2:
         raise WidthError("need width >= 1 to take a derivative trace")
     n = len(coeffs) - 1
-    return float(np.dot(coeffs[1:], gamma_table(beta, n).rgamma[:n]))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf, callers reject
+        return float(np.dot(coeffs[1:], gamma_table(beta, n).rgamma[:n]))

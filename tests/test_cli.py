@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -486,6 +487,43 @@ def test_overflowing_lambda_product_is_config_error(tmp_path, capsys):
     )
 
 
+# every entry of phi is finite, but its x = 1 trace sums them past the float range
+OVERFLOWING_TRACE = {"nt": 2, "nx": 4, "kmax": 2, "phi": {"kind": "coeffs", "values": [1e308] * 9}}
+
+
+def test_overflowing_x1_trace_of_phi_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, **OVERFLOWING_TRACE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "invert", "--config", cfg)
+    assert_one_line_config_error(code, out, err)
+    assert err == "config error: mu2: the x = 1 trace of phi overflows the float range\n"
+
+
+@pytest.mark.parametrize("argv", [["invert"], ["forward", "--x", "0.5", "--t", "0.5"]])
+def test_overflowing_x1_trace_of_the_march_is_config_error(tmp_path, capsys, argv):
+    # with p = 0 the march is finite, and so is the data
+    cfg = write_config(tmp_path, **OVERFLOWING_TRACE, p={"kind": "coeffs", "values": [0.0]},
+                       mu2={"kind": "coeffs", "values": [1.0, 2.0, 3.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--config", cfg)
+    assert_one_line_config_error(code, out, err)
+    assert err == "config error: the x = 1 trace of the march overflows the float range\n"
+
+
+def test_overflowing_separable_solve_is_config_error(tmp_path, capsys):
+    # lam = 1e10 passes the ratio test, and lam * phi_2 is past the float range
+    cfg = write_config(tmp_path, nt=4, nx=8, kmax=2,
+                       phi={"kind": "coeffs", "values": [1.0, 0.0, 1e300] + [0.0] * 14},
+                       mu2={"kind": "coeffs", "values": [1.0, 1e10, 1e20, 1e30, 1e40]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "invert", "--config", cfg, "--mode", "separable")
+    assert_one_line_config_error(code, out, err)
+    assert err == "config error: the separable solve for p overflows the float range\n"
+
+
 BIG = 10**400  # a JSON integer past the float range
 
 
@@ -619,6 +657,26 @@ def test_separable_output_matches_golden_file(capsys):
                          "--mode", "separable")
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "separable_frac_4_10_10.txt").read_bytes()
+
+
+# forward_points.txt holds one printed value per (config, point), configs outer
+FORWARD_GOLDEN_CASES = [
+    (config, x, t)
+    for config in ("table_config_sep", "separable_frac_4_10_10",
+                   "newton_pool_self_k4", "newton_pool_known_k2")
+    for x, t in (("0.5", "0.5"), ("0", "0"), ("1", "0.25"))
+]
+
+
+@pytest.mark.parametrize("line, config, x, t",
+                         [(k, *case) for k, case in enumerate(FORWARD_GOLDEN_CASES)])
+def test_forward_output_matches_golden_file(capsys, line, config, x, t):
+    code, out, err = run(capsys, "forward", "--config", str(DATA / f"{config}.json"),
+                         "--invert", "--x", x, "--t", t)
+    assert (code, err) == (0, "")
+    golden = (DATA / "forward_points.txt").read_text().splitlines(keepends=True)
+    assert len(golden) == len(FORWARD_GOLDEN_CASES)
+    assert out == golden[line]
 
 
 def test_table_requires_example_or_config(capsys):

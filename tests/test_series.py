@@ -23,6 +23,8 @@ from fractaylor import (
     XSeries,
     dt_shift,
     eval_series,
+    example_problem,
+    forward_march,
     mul_x,
     normalized_from_raw,
     raw_from_normalized,
@@ -283,7 +285,7 @@ def test_mul_x_successive_factors_match_convolved_factor():
     q2 = XSeries(0.9, tuple(rng.uniform(-2, 2) for _ in range(4)))
     two_step = mul_x(mul_x(s, q1, width), q2, width)
     # q1 * q2 as the one level of a series holding q1, zero padded to the width
-    q12 = mul_x(BiFracSeries(orders, (q1.coeffs + (0.0,) * (width - 2),)), q2, width)
+    q12 = mul_x(BiFracSeries(orders, (q1.coeffs.tolist() + [0.0] * (width - 2),)), q2, width)
     one_step = mul_x(s, XSeries(0.9, q12.levels[0]), width)
     for i in range(two_step.nt + 1):
         for a, b in zip(two_step.levels[i], one_step.levels[i]):
@@ -342,20 +344,32 @@ def test_series_requires_finite_entries():
         XSeries(1.0, (math.nan,))
 
 
-def test_constructors_store_python_floats():
-    values = np.array([1, 2, 3], dtype=np.int64)
-    floats = np.array([0.5, -1.5], dtype=np.float32)
-    for stored in (
-        XSeries(1.0, values).coeffs,
-        XSeries(1.0, (np.float64(0.5), np.int32(2))).coeffs,
-        TSeries(1.0, floats).coeffs,
-        TSeries(1.0, list(values)).coeffs,
-        *BiFracSeries(ORDERS11, (values, tuple(floats), (np.float64(2.5),))).levels,
-    ):
-        assert isinstance(stored, tuple)
-        assert all(type(c) is float for c in stored)
-    assert XSeries(1.0, values).coeffs == (1.0, 2.0, 3.0)
-    assert TSeries(1.0, floats).coeffs == (0.5, -1.5)
+def test_series_store_read_only_float64_copies():
+    for cls in (XSeries, TSeries):
+        source = np.array([0.5, -1.5, 2.0])
+        series = cls(1.0, source)
+        assert series.coeffs.dtype == np.float64 and series.coeffs.ndim == 1
+        assert not series.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            series.coeffs[0] = 1.0
+        source[0] = 9.0  # the constructor copied its input
+        assert series.coeffs.tolist() == [0.5, -1.5, 2.0]
+        assert cls(1.0, np.array([1, 2], dtype=np.int64)).coeffs.tolist() == [1.0, 2.0]
+        assert cls(1.0, np.array([0.5], dtype=np.float32)).coeffs.dtype == np.float64
+        with pytest.raises(ValueError, match=f"^{cls.__name__} coefficients must be 1-D"):
+            cls(1.0, np.ones((2, 2)))
+        # equality is identity
+        assert series == series and series != cls(1.0, series.coeffs)
+    # levels is the one tuple view: Python floats whatever the input type
+    mixed = BiFracSeries(ORDERS11, (np.array([1, 2], dtype=np.int64), (np.float32(0.5),)))
+    assert mixed.levels == ((1.0, 2.0), (0.5,))
+    assert all(type(c) is float for level in mixed.levels for c in level)
+    spec = example_problem(1, 0.9, 0.8, nt=3, nx=4, kmax=2)
+    result = forward_march(spec, XSeries(0.8, (0.5, 0.0, -2.0)))
+    assert result.traces.shape == (2, spec.nt + 1) and result.traces.dtype == np.float64
+    assert not result.traces.flags.writeable
+    for trace, row in zip((result.bc_trace_x0, result.bc_trace_x1), result.traces):
+        assert trace.alpha == 0.9 and trace.coeffs.tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
@@ -379,13 +393,6 @@ def test_orders_must_lie_in_unit_interval():
         FracOrders(1.0, 0.0)
 
 
-def test_coeff_accessor_guards_the_trapezoid():
-    s = BiFracSeries(ORDERS11, ((1.0, 2.0), (3.0,)))
-    assert s.coeff(1, 0) == 3.0
-    with pytest.raises(IndexError):
-        s.coeff(1, 1)
-
-
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(
     st.lists(
@@ -404,9 +411,8 @@ def test_ragged_series_roundtrips_through_levels(rows):
     assert s.levels == tuple(tuple(map(float, row)) for row in rows)
     again = BiFracSeries(ORDERS11, s.levels)
     assert again.levels == s.levels
-    assert again == s and hash(again) == hash(s)
+    assert again.sizes == s.sizes and again.array.tobytes() == s.array.tobytes()
     assert s.nt == len(rows) - 1
     for i, row in enumerate(rows):
         assert s.width(i) == len(row) - 1
-        for j, v in enumerate(row):
-            assert s.coeff(i, j) == v and type(s.coeff(i, j)) is float
+        assert s.array[i, : s.sizes[i]].tolist() == row
