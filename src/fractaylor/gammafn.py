@@ -5,9 +5,9 @@ x^(j*beta)/Gamma(j*beta+1) (and t^(i*alpha)/Gamma(i*alpha+1) in time), so
 the only special-function values needed are G[n] = ln Gamma(n*beta + 1) on
 the integer grid and ratios built from them.  `gamma_table` computes G with
 the stdlib `math.lgamma` once per (order, width) and caches it with the
-convolution weights B_beta(k, m) = exp(G[k+m] - G[k] - G[m]) and the
-reciprocal gammas exp(-G[n]) of the basis.  Working in log space keeps the
-weights finite although Gamma itself overflows past ~171.
+reciprocal gammas exp(-G[n]) of the basis, two vectors of `width` entries.
+The weights B_beta(k, m) = exp(G[k+m] - (G[k] + G[m])) are built from G
+where they are read; log space keeps them finite past Gamma's overflow at ~171.
 `product_table`, a gather table cached per (beta, n, cols), is the one
 kernel of the B_beta-weighted product: the product matrix of q is
 `weights * q[index]` in the march, its tangent, the separable solve and `mul_x`.
@@ -34,11 +34,10 @@ _WIDTH_STEP = 32
 
 
 class GammaTable(NamedTuple):
-    """Read-only grid of one order: lg[n] = ln Gamma(n*beta + 1) for n < 2*width - 1,
-    binom[k, m] = B_beta(k, m) for k, m < width, rgamma[n] = 1/Gamma(n*beta + 1)."""
+    """Read-only grid of one order: lg[n] = ln Gamma(n*beta + 1) and
+    rgamma[n] = 1/Gamma(n*beta + 1) for n < width."""
 
     lg: np.ndarray
-    binom: np.ndarray
     rgamma: np.ndarray
 
 
@@ -62,19 +61,10 @@ def gamma_table(beta: float, width: int) -> GammaTable:
 
 @lru_cache(maxsize=16)
 def _build_table(beta: float, width: int) -> GammaTable:
-    lgs = [math.lgamma(n * beta + 1.0) for n in range(2 * width - 1)]
-    lg = np.array(lgs)
-    # row by row keeps the peak memory small; summing the subtracted logs
-    # first keeps the table exactly symmetric; past width ~500 weights are inf
-    binom = np.empty((width, width))
-    for k in range(width):
-        binom[k] = lg[k : k + width] - (lg[k] + lg[:width])
-    with np.errstate(over="ignore"):
-        np.exp(binom, out=binom)
-    rgamma = np.array([math.exp(-v) for v in lgs[:width]])
-    for array in (lg, binom, rgamma):
-        array.flags.writeable = False
-    return GammaTable(lg, binom, rgamma)
+    lg = np.array([math.lgamma(n * beta + 1.0) for n in range(width)])
+    rgamma = np.array([math.exp(-v) for v in lg.tolist()])
+    lg.flags.writeable = rgamma.flags.writeable = False
+    return GammaTable(lg, rgamma)
 
 
 def frac_binom(k: int, m: int, beta: float) -> float:
@@ -86,11 +76,14 @@ def frac_binom(k: int, m: int, beta: float) -> float:
     normalized basis are multiplied: the product of x^(k*beta)/Gamma(k*beta+1)
     and x^(m*beta)/Gamma(m*beta+1) equals B_beta(k, m) times the normalized
     basis element of order k+m.  At beta = 1 it reduces to the ordinary
-    binomial coefficient C(k+m, k).  The value is read from `gamma_table`.
+    binomial coefficient C(k+m, k).  It equals `product_table`'s weight bit for bit.
     """
     if k < 0 or m < 0:
         raise ValueError(f"frac_binom requires k, m >= 0, got k={k}, m={m}")
-    return float(gamma_table(beta, k + m + 1).binom[k, m])
+    _check_order(beta)
+    lg_k, lg_m, lg_km = (math.lgamma(n * beta + 1.0) for n in (k, m, k + m))
+    with np.errstate(over="ignore"):
+        return float(np.exp(lg_km - (lg_k + lg_m)))
 
 
 @lru_cache(maxsize=64)
@@ -101,11 +94,18 @@ def product_table(beta: float, n: int, cols: int) -> tuple[np.ndarray, np.ndarra
     diagonal, 0 above it, so ``weights * q[index]`` is the first cols
     columns of the product matrix of any q of n entries.  Each shape is
     cached whole: a gather through a slice of a wider table is slower.
+    A weight is exp(lg[j] - (lg[j - m] + lg[m])): summing the subtracted logs
+    first keeps it exactly symmetric.  At beta = 1 it is inf past n = 1030.
     """
-    binom = gamma_table(beta, max(n, cols)).binom
+    lg = gamma_table(beta, max(n, cols)).lg
     j, m = np.ogrid[:n, :cols]
     index = np.maximum(j - m, 0)
-    weights = np.where(j >= m, binom[index, m], 0.0)
+    weights = lg[index]  # built in place: one (n, cols) array
+    weights += lg[:cols]
+    np.subtract(lg[:n, None], weights, out=weights)
+    with np.errstate(over="ignore"):
+        np.exp(weights, out=weights)
+    np.copyto(weights, 0.0, where=j < m)
     for array in (index, weights):
         array.flags.writeable = False
     return index, weights

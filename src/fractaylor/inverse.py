@@ -28,16 +28,15 @@ Two routes are provided:
   max(1, |data entry|) (`mismatch_scale`, as in `residual_check`), so the
   test ||r||_inf <= NEWTON_TOL is relative; unnormalized rows span tens of
   orders of magnitude.  A single Gauss-Newton sweep from zero stalls in
-  local minima on random self-coupled instances, so a self-coupled solve
-  warms up through increasing trace depths (depth d fits only the first d
-  levels of data) before the full-depth iteration; a known source starts
-  at full depth.  The reported iteration count is that of the full-depth
-  loop.  The report converges when its forward residual, which also reads
-  level 0 of the traces (fixed by phi alone and never fitted), is at most
-  NEWTON_TOL.  On 3600 seed-drawn roundtrip instances (kmax 0-4, beta in
-  {1, 0.9, 0.7}, a third with a known source) the warm-up with
-  forward-difference Jacobians stalled on 7, the warm-up with exact
-  Jacobians on the same 7, and exact Jacobians without the warm-up on 223.
+  local minima on random self-coupled instances (223 of 3600 seed-drawn
+  roundtrip instances), so a self-coupled solve warms up through
+  increasing trace depths (depth d fits only the first d levels of data)
+  before the full-depth iteration; a known source starts at full depth.
+  ROADMAP.md item 7 records the stalls left with the warm-up (9, 7 and 8
+  in different runs) and why the counts differ.  The reported iteration
+  count is that of the full-depth loop.  The report converges when its
+  forward residual, which also reads level 0 of the traces (fixed by phi
+  alone and never fitted), is at most NEWTON_TOL.
 """
 
 from __future__ import annotations

@@ -54,8 +54,8 @@ __all__ = [
 
 _TOP_FIELDS = frozenset(("alpha", "beta", "nt", "nx", "kmax", "phi", "mu1", "mu2", "f"))
 
-# largest march width nx + 2*nt + 1 (and length of phi): the widest cached
-# gamma table whose B_beta weights are all finite at beta = 1 (544 is not)
+# largest march width nx + 2*nt + 1 (and length of phi): it keeps a march's
+# product table at 512 x 512 weights, all finite at beta = 1 (up to n = 1030)
 MAX_WIDTH = 512
 
 

@@ -819,3 +819,11 @@ def test_selfcheck_passes(capsys):
     assert code == 0
     assert "all selfchecks passed" in out
     assert out.count("ok   ") == 6
+
+
+def test_selfcheck_output_matches_golden_file(capsys):
+    # the deviations are rounding-level figures of the gamma arithmetic,
+    # the round trip and both recoveries: any change to their bits shows here
+    code, out, err = run(capsys, "selfcheck")
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "selfcheck.txt").read_bytes()

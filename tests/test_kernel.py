@@ -1,8 +1,9 @@
 """The cached gamma table and the B_beta convolution kernel built on it.
 
-Oracles: exact binomials at beta = 1, 30-digit mpmath values of the table,
-a 30-digit mpmath march written out here (it shares no code with the
-package), and a naive triple loop for a march with a known source.
+Oracles: exact binomials at beta = 1, 30-digit mpmath values of the table
+and the weights, the square weight table the package once cached (built
+here), a 30-digit mpmath march written out here (it shares no code with
+the package), and a naive triple loop for a march with a known source.
 """
 
 import math
@@ -20,14 +21,33 @@ from fractaylor import (
     forward_march,
     frac_binom,
 )
-from fractaylor.gammafn import convolution_matrix, gamma_table
+from fractaylor.gammafn import convolution_matrix, gamma_table, product_table
 from fractaylor.problem import MAX_WIDTH
 
 EPS = 2.0**-52
 
 
+def square_weights(beta, width):
+    """B_beta(k, m) for k, m < width from product_table: row k + m, column m."""
+    _, weights = product_table(beta, 2 * width - 1, width)
+    k, m = np.ogrid[:width, :width]
+    return weights[k + m, m]
+
+
+def reference_table(beta, width):
+    """The square B_beta table the package once cached per order: a row loop
+    over the summed logs, then one in-place exp."""
+    lg = np.array([math.lgamma(n * beta + 1.0) for n in range(2 * width - 1)])
+    binom = np.empty((width, width))
+    for k in range(width):
+        binom[k] = lg[k : k + width] - (lg[k] + lg[:width])
+    with np.errstate(over="ignore"):
+        np.exp(binom, out=binom)
+    return binom
+
+
 def test_table_reduces_to_binomials_at_beta_one():
-    binom = gamma_table(1.0, 64).binom
+    binom = square_weights(1.0, 64)
     for k in range(64):
         for m in range(64):
             exact = math.comb(k + m, k)
@@ -36,7 +56,7 @@ def test_table_reduces_to_binomials_at_beta_one():
 
 def test_table_is_exactly_symmetric():
     for beta in (1.0, 0.9, 0.7, 0.35):
-        binom = gamma_table(beta, 141).binom
+        binom = square_weights(beta, 141)
         assert np.array_equal(binom, binom.T)
 
 
@@ -44,6 +64,7 @@ def test_table_matches_mpmath_up_to_width_141():
     mpmath = pytest.importorskip("mpmath")
     beta, width = 0.7, 141
     table = gamma_table(beta, width)
+    _, weights = product_table(beta, width, width)
     with mpmath.workdps(30):
         b = mpmath.mpf(beta)
         lg = [mpmath.loggamma(n * b + 1) for n in range(width)]
@@ -56,7 +77,7 @@ def test_table_matches_mpmath_up_to_width_141():
                 exact = float(mpmath.exp(lg[k + m] - lg[k] - lg[m]))
                 # exp turns the absolute error of the summed logs into a relative one
                 budget = 4 * EPS * (1.0 + float(abs(lg[k + m]) + abs(lg[k]) + abs(lg[m])))
-                assert abs(table.binom[k, m] - exact) <= budget * exact, (k, m)
+                assert abs(weights[k + m, m] - exact) <= budget * exact, (k, m)
 
 
 def test_table_arrays_are_read_only():
@@ -66,10 +87,33 @@ def test_table_arrays_are_read_only():
             array[0] = 2.0
 
 
-def test_frac_binom_reads_the_table():
-    table = gamma_table(0.7, 41)
+def test_frac_binom_equals_the_product_table_weight():
+    _, weights = product_table(0.7, 41, 41)
     for k, m in ((0, 0), (3, 5), (17, 23), (40, 0)):
-        assert frac_binom(k, m, 0.7) == table.binom[k, m]
+        assert frac_binom(k, m, 0.7) == weights[k + m, m]
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.9, 0.7, 0.35, 0.1])
+def test_weights_equal_the_square_reference_table(beta):
+    ref = reference_table(beta, 511)
+    for n, cols in ((1, 1), (7, 3), (33, 33), (141, 9), (300, 511), (511, 61), (511, 511)):
+        index, weights = product_table(beta, n, cols)
+        j, m = np.ogrid[:n, :cols]
+        want = np.where(j >= m, ref[index, m], 0.0)
+        assert weights.tobytes() == want.tobytes(), (n, cols)
+    rng = random.Random(7)
+    pairs = [(0, 0), (510, 0), (0, 510), (255, 255), (510, 510)]
+    pairs += [(rng.randrange(511), rng.randrange(511)) for _ in range(300)]
+    for k, m in pairs:
+        assert np.float64(frac_binom(k, m, beta)).tobytes() == ref[k, m].tobytes(), (k, m)
+
+
+def test_gamma_table_holds_two_vectors_of_its_width():
+    # no (width, width) array: a width-3000 table costs two vectors, not 70 MB
+    table = gamma_table(0.5, 3000)
+    assert table._fields == ("lg", "rgamma")
+    for array in table:
+        assert array.ndim == 1 and 3000 <= len(array) < 3032
 
 
 def test_convolution_matrix_entries():
