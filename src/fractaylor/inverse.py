@@ -15,16 +15,16 @@ Two routes are provided:
 * `recover_newton` - general data.  Minimizes the stacked trace mismatches
   over p by damped Gauss-Newton (step halving) from p = 0.  The Jacobian
   is exact: the march carries its tangent d a / d p (`march_arrays`), so
-  one march gives the mismatch and its Jacobian.  Each distinct iterate is
-  marched once: the march does not depend on the trace depth, so an
-  accepted point hands its march to the next step, the next depth and the
-  report.  A line-search trial that rounds to the current iterate ends the
-  search as failed, as would every smaller step; one that rounds to the
-  trial just rejected is skipped unmarched.  For a known source f the
-  traces are affine in p and their Jacobian does not depend on p: the
-  first exact step from p = 0 is the least-squares solution, so the solve
-  is one tangent march at p = 0, one plain march at the solution and one
-  least-squares solve.  Each mismatch row is divided by
+  one march gives the mismatch and its Jacobian; every march of a solve
+  carries it.  Each accepted iterate is marched once: the march does not
+  depend on the trace depth, so an accepted point hands its march to the
+  next step, the next depth and the report.  The line search has one stop
+  rule: a trial that rounds to the current iterate ends it as failed, as
+  would every smaller step.  For a known source f the traces are affine in
+  p and their Jacobian does not depend on p: the first exact step from
+  p = 0 is the least-squares solution, so the solve is two tangent
+  marches (at p = 0 and at the solution) and one least-squares solve.
+  Each mismatch row is divided by
   max(1, |data entry|) (`mismatch_scale`, as in `residual_check`), so the
   test ||r||_inf <= NEWTON_TOL is relative; unnormalized rows span tens of
   orders of magnitude.  A single Gauss-Newton sweep from zero stalls in
@@ -32,8 +32,8 @@ Two routes are provided:
   roundtrip instances), so a self-coupled solve warms up through
   increasing trace depths (depth d fits only the first d levels of data)
   before the full-depth iteration; a known source starts at full depth.
-  ROADMAP.md item 7 records the stalls left with the warm-up (9, 7 and 8
-  in different runs) and why the counts differ.  The reported iteration
+  ROADMAP.md item 7 records the stalls left with the warm-up (8 at the
+  last count) and why earlier counts differ.  The reported iteration
   count is that of the full-depth loop.  The report converges when its
   forward residual, which also reads level 0 of the traces (fixed by phi
   alone and never fitted), is at most NEWTON_TOL.
@@ -195,18 +195,17 @@ def _report(
 
 def _read_march(
     march: tuple, data: np.ndarray, scale: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Normalized trace mismatches against data and their exact Jacobian in p, from one march.
 
-    ``data`` holds mu1 and mu2 at levels 1..depth, ``scale`` 1 / mismatch_scale(data).  The
-    Jacobian is None for a march without its tangent; an overflowing march gives all inf.
+    ``march`` carries its tangent; ``data`` holds mu1 and mu2 at levels 1..depth, ``scale``
+    1 / mismatch_scale(data).  An overflowing march gives all inf.
     """
     _, traces, jac = march
     depth = data.shape[1]
-    if jac is not None:
-        jac = (jac[:, 1 : depth + 1] * scale[:, :, None]).reshape(data.size, -1)
+    jac = (jac[:, 1 : depth + 1] * scale[:, :, None]).reshape(data.size, -1)
     if not np.all(np.isfinite(traces)):
-        return np.full(data.size, np.inf), None if jac is None else np.full_like(jac, np.inf)
+        return np.full(data.size, np.inf), np.full_like(jac, np.inf)
     return ((traces[:, 1 : depth + 1] - data) * scale).reshape(-1), jac
 
 
@@ -227,20 +226,16 @@ def _gauss_newton(
             y, *_ = np.linalg.lstsq(jac / col_scale, -r, rcond=None)
             step = y / col_scale
             best = np.linalg.norm(r)
-            s, rejected = 1.0, b""
+            s = 1.0
             for _ in range(31):
                 candidate = p + s * step
                 if np.array_equal(candidate, p):  # every smaller s rounds to p: the search fails
                     break
-                if candidate.tobytes() != rejected:  # the same bits would be rejected again
-                    # a known source's Jacobian does not depend on p: keep the first
-                    trial = march_arrays(spec, candidate, tangent=spec.self_coupled)
-                    r_new, jac_new = _read_march(trial, data, scale)
-                    if np.linalg.norm(r_new) < best:
-                        p, march, r = candidate, trial, r_new
-                        jac = jac if jac_new is None else jac_new
-                        break
-                    rejected = candidate.tobytes()
+                trial = march_arrays(spec, candidate, tangent=True)
+                r_new, jac_new = _read_march(trial, data, scale)
+                if np.linalg.norm(r_new) < best:
+                    p, march, r, jac = candidate, trial, r_new, jac_new
+                    break
                 s *= 0.5
             if p is not candidate:  # no trial was accepted
                 break

@@ -572,6 +572,69 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert f"cannot read config {path}: 'utf-8' codec can't decode" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "overrides, text",
+    [
+        ({"f": 3}, 'f must be "self" or an object {"kind": "coeffs2d", "values": [[...]]}'),
+        ({"f": {"kind": "coeffs", "values": [[1.0]]}}, "f kind must be 'coeffs2d', got 'coeffs'"),
+        ({"f": {"kind": "coeffs2d", "values": [[1.0]], "scale": 2}}, "unknown fields in f: scale"),
+        ({"f": {"kind": "coeffs2d", "values": []}},
+         "f values must be a nonempty list of coefficient lists"),
+        ({"f": {"kind": "coeffs2d", "values": [[math.nan]]}},
+         "f values invalid: time level 0 contains non-finite coefficients"),
+        ({"f": {"kind": "coeffs2d", "values": [[]]}}, "f values invalid: time level 0 is empty"),
+        ({"mu1": "zero"}, "mu1 must be a generator object with a 'kind' key"),
+        ({"mu2": {"kind": "coeffs", "values": [1.0, math.nan]}},
+         "coeffs generator values must all be finite"),
+    ],
+    ids=["f-number", "f-kind", "f-unknown-key", "f-empty", "f-nan", "f-empty-level",
+         "generator-not-object", "coeffs-nan"],
+)
+def test_malformed_field_is_config_error(tmp_path, capsys, overrides, text):
+    code, out, err = run(capsys, "invert", "--config", write_config(tmp_path, **overrides))
+    assert_one_line_config_error(code, out, err)
+    assert err == f"config error: {text}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_config_that_is_a_json_array_is_config_error(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1]")
+    code, out, err = run(capsys, "invert", "--config", str(path))
+    assert_one_line_config_error(code, out, err)
+    assert err == "config error: config document must be a JSON object\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["--x-eval", "1.5"], "--x-eval must lie in [0, 1], got 1.5"),
+        (["--alphas", "x"],
+         "--alphas must be a comma-separated list of reals: could not convert string to float: 'x'"),
+        (["--alphas", ","], "--alphas must name at least one order"),
+    ],
+    ids=["x-eval", "alphas-not-real", "alphas-empty"],
+)
+def test_table_flag_errors_are_one_line(capsys, argv, text):
+    code, out, err = run(capsys, "table", "--example", "1", *argv)
+    assert_one_line_config_error(code, out, err)
+    assert err == f"config error: {text}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_separable_solve_on_too_narrow_phi_is_solver_error(tmp_path, capsys):
+    # nt = 0 and nx = 2 give phi 3 entries, and the triangular solve up to
+    # kmax = 2 reads phi_{kmax + 2}
+    cfg = write_config(tmp_path, nt=0, nx=2, kmax=2,
+                       mu2={"kind": "coeffs", "values": [1.0, 2.0, 4.0]})
+    assert_one_line_solver_error(
+        *run(capsys, "invert", "--config", cfg),
+        "phi width 2 too small for the triangular solve up to kmax=2",
+    )
+
+
 def test_forward_rejects_nan_x(tmp_path, capsys):
     cfg = write_config(tmp_path, p={"kind": "coeffs", "values": [0.0, 0.0, -8.0]})
     assert_one_line_config_error(
@@ -642,6 +705,9 @@ def test_table_output_matches_golden_file(capsys, golden, argv):
         ("newton_pool_known_k2", 0),
         # alpha = beta = 0.7, (nt, nx, kmax) = (10, 16, 4): the fit stalls
         ("newton_stall_10_16_4", 4),
+        # a zero known source at (2, 4, 2): the traces do not depend on p, so
+        # the Jacobian is zero and the report warns that it is rank deficient
+        ("newton_rank_deficient", 4),
     ],
 )
 def test_newton_output_matches_golden_file(capsys, name, exit_code):
@@ -677,6 +743,13 @@ def test_forward_output_matches_golden_file(capsys, line, config, x, t):
     golden = (DATA / "forward_points.txt").read_text().splitlines(keepends=True)
     assert len(golden) == len(FORWARD_GOLDEN_CASES)
     assert out == golden[line]
+
+
+def test_forward_invert_that_does_not_converge_exits_4(capsys):
+    code, out, err = run(capsys, "forward", "--config", str(DATA / "newton_stall_10_16_4.json"),
+                         "--invert", "--mode", "newton", "--x", "0.5", "--t", "0.5")
+    assert (code, out) == (4, "")
+    assert err == "inversion did not converge; rerun `invert` for diagnostics\n"
 
 
 def test_table_requires_example_or_config(capsys):

@@ -235,6 +235,12 @@ def test_rejects_oversized_p():
         forward_march(spec, P_CASE1)
 
 
+def test_rejects_p_at_another_beta():
+    spec = classical_case1(nt=2, nx=4)
+    with pytest.raises(ValueError, match="p is expressed at a different beta"):
+        forward_march(spec, XSeries(0.5, (0.0,)))
+
+
 def test_traces_match_definitions():
     spec = classical_case1(nt=3, nx=8)
     result = forward_march(spec, P_CASE1)

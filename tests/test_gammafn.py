@@ -72,6 +72,11 @@ def test_frac_binom_rejects_bad_order(beta):
         frac_binom(1, 1, beta)
 
 
+def test_frac_binom_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="k, m >= 0, got k=-1, m=0"):
+        frac_binom(-1, 0, 1.0)
+
+
 def test_ml_power_coeffs_square_case():
     # Gamma(2j+1)/Gamma(j+1) = (2j)!/j!
     got = ml_power_coeffs(1.0, 2, 4)

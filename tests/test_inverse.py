@@ -424,9 +424,10 @@ def test_line_search_overflowing_norm_is_silent(monkeypatch):
     assert (p.tolist(), march is start, it) == ([0.0], True, 0)
 
 
-def test_line_search_skips_a_repeat_of_the_rejected_trial(monkeypatch):
+def test_line_search_stops_only_when_the_trial_rounds_to_the_iterate(monkeypatch):
     # from p = 1 a step of 1.25 ulp rounds to 1 + ulp at s = 1 and at
-    # s = 1/2, and to p at s = 1/4: the repeat is rejected unmarched
+    # s = 1/2, and to p at s = 1/4: the repeat is marched and rejected
+    # again, and the search ends without marching p
     from fractaylor import inverse
 
     ulp = math.ulp(1.0)
@@ -442,7 +443,7 @@ def test_line_search_skips_a_repeat_of_the_rejected_trial(monkeypatch):
 
     monkeypatch.setattr(inverse, "march_arrays", counting_march)
     p, march, it, _ = inverse._gauss_newton(spec, np.ones(1), start, data, scale, 0.0, 5)
-    assert trials == [[1.0 + ulp]]
+    assert trials == [[1.0 + ulp], [1.0 + ulp]]
     assert (p.tolist(), march is start, it) == ([1.0], True, 0)
 
 
@@ -476,9 +477,8 @@ def solver_log(monkeypatch):
 def test_newton_known_source_is_one_step(solver_log):
     # the march is affine in p for a known source, so with the exact
     # Jacobian one Gauss-Newton step from p = 0 solves it, without the
-    # warm-up; the Jacobian does not depend on p, so only the march at 0
-    # carries the tangent: a tangent march at 0, one least-squares solve,
-    # a plain march at its solution
+    # warm-up: a tangent march at 0, one least-squares solve, a tangent
+    # march at its solution, whose march is the report's
     rng = random.Random(2024)
     for kmax in range(5):
         for beta in (1.0, 0.7):
@@ -487,8 +487,7 @@ def test_newton_known_source_is_one_step(solver_log):
             solver_log.clear()
             report = recover_newton(spec)
             assert solver_log == {
-                "tangent march": 1, "tangent march at 0": 1, "plain march": 1,
-                "lstsq": 1, "gauss_newton": 1,
+                "tangent march": 2, "tangent march at 0": 1, "lstsq": 1, "gauss_newton": 1,
             }
             assert report.converged
             assert report.iterations == 1
@@ -498,8 +497,8 @@ def test_newton_known_source_is_one_step(solver_log):
 
 
 def test_known_source_jacobian_does_not_depend_on_p():
-    # the invariant behind the single tangent march of a known-source solve:
-    # without the W @ d term the tangent has the same bytes at every p
+    # without the W @ d term the tangent has the same bytes at every p, so
+    # the Jacobian at a known-source solution is the one at p = 0
     from fractaylor.forward import march_arrays
 
     rng = np.random.default_rng(7)

@@ -14,11 +14,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fractaylor import (
+    BiFracSeries,
     ConfigError,
     ProblemSpec,
     FracOrders,
     TSeries,
+    WidthError,
     XSeries,
+    example_problem,
     ml_power_coeffs,
     parse_problem,
     synthesize_boundary,
@@ -149,6 +152,18 @@ def test_problem_spec_invariants():
         ProblemSpec(orders, nt=6, nx=2, kmax=2, phi=phi, mu1=TSeries(1.0, (0.0,) * 3), mu2=mu)
     with pytest.raises(ConfigError, match="beta"):
         ProblemSpec(orders, nt=4, nx=6, kmax=4, phi=XSeries(0.5, phi.coeffs), mu1=mu, mu2=mu)
+    with pytest.raises(ConfigError, match="mu2 is expressed at a different alpha"):
+        ProblemSpec(orders, nt=4, nx=6, kmax=4, phi=phi, mu1=mu, mu2=TSeries(0.5, mu.coeffs))
+    with pytest.raises(ConfigError, match="f series orders differ from the problem orders"):
+        ProblemSpec(orders, nt=4, nx=6, kmax=4, phi=phi, mu1=mu, mu2=mu,
+                    f_series=BiFracSeries(FracOrders(1.0, 0.5), ((0.0,),)))
+    with pytest.raises(ConfigError, match="p is expressed at a different beta"):
+        ProblemSpec(orders, nt=4, nx=6, kmax=4, phi=phi, mu1=mu, mu2=mu, p_known=XSeries(0.5, (0.0,)))
+
+
+def test_example_problem_rejects_an_unknown_example():
+    with pytest.raises(ValueError, match=r"example must be one of \(1, 2\), got 3"):
+        example_problem(3, 1.0, 1.0, nt=2, nx=4, kmax=2)
 
 
 # --- boundary synthesis ---------------------------------------------------
@@ -204,3 +219,10 @@ def test_synthesize_rejects_bad_endpoint():
     phi = XSeries(1.0, (1.0, 1.0))
     with pytest.raises(ValueError):
         synthesize_boundary(phi, 1.0, 2, "x2")
+
+
+def test_synthesize_rejects_negative_depth_and_a_phi_without_a_derivative():
+    with pytest.raises(ValueError, match="nt must be >= 0, got -1"):
+        synthesize_boundary(XSeries(1.0, (1.0, 1.0)), 1.0, -1, "x1")
+    with pytest.raises(WidthError, match="need width >= 1"):
+        synthesize_boundary(XSeries(1.0, (1.0,)), 1.0, 2, "x0")

@@ -21,6 +21,7 @@ from fractaylor import (
     TSeries,
     WidthError,
     XSeries,
+    deriv_trace_at_one,
     dt_shift,
     eval_series,
     example_problem,
@@ -30,6 +31,7 @@ from fractaylor import (
     raw_from_normalized,
 )
 from fractaylor.gammafn import gamma_table
+from fractaylor.series import level_values
 
 ORDERS11 = FracOrders(1.0, 1.0)
 
@@ -96,6 +98,18 @@ def test_eval_rejects_negative_points():
         eval_series(s, -0.1, 0.5)
     with pytest.raises(DomainError):
         eval_series(s, 0.5, -0.1)
+
+
+def test_series_helpers_reject_arguments_outside_their_domain():
+    s = BiFracSeries(ORDERS11, ((1.0, 2.0),))
+    with pytest.raises(DomainError, match="need x >= 0, got -0.1"):
+        level_values(s, -0.1)
+    with pytest.raises(ValueError, match="jcap must be >= 0, got -1"):
+        mul_x(s, XSeries(1.0, (1.0,)), -1)
+    with pytest.raises(ValueError, match="raw coefficient map is empty"):
+        normalized_from_raw(ORDERS11, {})
+    with pytest.raises(WidthError, match="need width >= 1"):
+        deriv_trace_at_one(np.ones(1), 1.0)
 
 
 def test_eval_initial_condition_trace_matches_xseries():
