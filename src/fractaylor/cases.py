@@ -21,7 +21,7 @@ import math
 
 from .problem import ProblemSpec, problem_from_config
 
-__all__ = ["EXAMPLES", "example_config", "example_problem", "exact_classical"]
+__all__ = ["EXAMPLES", "example_problem", "exact_classical"]
 
 EXAMPLES = (1, 2)
 

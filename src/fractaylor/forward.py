@@ -33,7 +33,7 @@ from .gammafn import convolution_matrix, gamma_table, product_table
 from .problem import ProblemSpec
 from .series import BiFracSeries, TSeries, WidthError, XSeries
 
-__all__ = ["MarchOverflow", "ForwardResult", "forward_march", "march_arrays", "residual_check"]
+__all__ = ["ForwardResult", "forward_march", "residual_check"]
 
 
 class MarchOverflow(ValueError):

@@ -24,8 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "GammaTable", "log_gamma", "frac_binom", "gamma_table", "product_table",
-    "convolution_matrix", "ml_power_coeffs",
+    "log_gamma", "frac_binom", "ml_power_coeffs",
 ]
 
 # tables are built for widths rounded up to a multiple of this, so problems

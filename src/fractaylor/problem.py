@@ -43,12 +43,9 @@ from .series import (
 )
 
 __all__ = [
-    "MAX_WIDTH",
     "ConfigError",
     "ProblemSpec",
     "synthesize_boundary",
-    "parse_problem",
-    "decode_config",
     "problem_from_config",
 ]
 
@@ -94,6 +91,7 @@ class ProblemSpec:
             _nonneg_int(name, getattr(self, name))
         if self.kmax > self.nx:
             raise ConfigError(f"kmax={self.kmax} must not exceed nx={self.nx}")
+        _check_width("len(phi)", len(self.phi))
         required = self.nx + 2 * self.nt + 1
         if len(self.phi) < required:
             raise ConfigError(
@@ -158,16 +156,6 @@ def synthesize_boundary(
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"lambda = {lam:g} overflows the trace sequence within nt = {nt} levels")
     return TSeries(alpha, values)
-
-
-def parse_problem(text: str) -> ProblemSpec:
-    """Parse a JSON config document into a fully materialized ProblemSpec.
-
-    Raises ConfigError with line/field diagnostics on malformed JSON,
-    unknown or missing fields, or violated invariants.  There are no
-    silent defaults: alpha, beta, nt, nx and kmax must all be present.
-    """
-    return problem_from_config(decode_config(text))
 
 
 def decode_config(text: str) -> dict:

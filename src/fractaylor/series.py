@@ -39,9 +39,6 @@ __all__ = [
     "TSeries",
     "BiFracSeries",
     "eval_series",
-    "level_values",
-    "time_basis",
-    "time_sum",
     "dt_shift",
     "mul_x",
     "raw_from_normalized",

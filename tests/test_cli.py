@@ -894,6 +894,28 @@ def test_selfcheck_passes(capsys):
     assert out.count("ok   ") == 6
 
 
+def test_selfcheck_reports_each_failure_and_runs_on(capsys, monkeypatch):
+    def off_by_one():
+        raise AssertionError("off by 1")
+
+    def no_data():
+        raise ValueError("no data")
+
+    monkeypatch.setattr(cli, "_SELFCHECKS", (
+        ("passes", lambda: "fine"),
+        ("asserts", off_by_one),
+        ("raises", no_data),
+    ))
+    code, out, err = run(capsys, "selfcheck")
+    assert (code, err) == (3, "")
+    assert out == (
+        "ok   passes (fine)\n"
+        "FAIL asserts: AssertionError: off by 1\n"
+        "FAIL raises: ValueError: no data\n"
+        "2 selfcheck(s) failed\n"
+    )
+
+
 def test_selfcheck_output_matches_golden_file(capsys):
     # the deviations are rounding-level figures of the gamma arithmetic,
     # the round trip and both recoveries: any change to their bits shows here

@@ -27,11 +27,12 @@ from fractaylor import (
     frac_binom,
     example_problem,
     ml_power_coeffs,
-    parse_problem,
+    problem_from_config,
     recover_newton,
     recover_separable,
     synthesize_boundary,
 )
+from fractaylor.problem import decode_config
 
 
 def test_case1_classical_recovery():
@@ -333,7 +334,8 @@ def pool_shaped_specs():
 def stalling_spec():
     """alpha = beta = 0.7, (nt, nx, kmax) = (10, 16, 4), separable mu2 with
     lambda = 2: Gauss-Newton stalls, and its last line search fails."""
-    return parse_problem((Path(__file__).parent / "data" / "newton_stall_10_16_4.json").read_text())
+    text = (Path(__file__).parent / "data" / "newton_stall_10_16_4.json").read_text()
+    return problem_from_config(decode_config(text))
 
 
 def bits(values):

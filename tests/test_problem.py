@@ -9,7 +9,9 @@ evaluate it at the endpoint.
 import json
 import math
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,10 +24,12 @@ from fractaylor import (
     WidthError,
     XSeries,
     example_problem,
+    forward_march,
     ml_power_coeffs,
-    parse_problem,
+    problem_from_config,
     synthesize_boundary,
 )
+from fractaylor.problem import MAX_WIDTH, decode_config
 
 
 def example1_config(**overrides):
@@ -54,7 +58,7 @@ def poly_derivative_at_one(normalized):
 
 
 def test_parse_example1_expands_generators():
-    spec = parse_problem(json.dumps(example1_config()))
+    spec = problem_from_config(decode_config(json.dumps(example1_config())))
     oracle = ml_power_coeffs(1.0, 2, spec.nx + 2 * spec.nt)
     assert spec.phi.coeffs.tolist() == oracle.coeffs.tolist()
     assert spec.phi.coeffs[:5].tolist() == pytest.approx([1.0, 0.0, 2.0, 0.0, 12.0], rel=1e-13)
@@ -68,23 +72,23 @@ def test_parse_example1_expands_generators():
 @pytest.mark.parametrize("alpha", [1.2, 0.0, -0.5])
 def test_parse_rejects_out_of_range_alpha(alpha):
     with pytest.raises(ConfigError):
-        parse_problem(json.dumps(example1_config(alpha=alpha)))
+        problem_from_config(decode_config(json.dumps(example1_config(alpha=alpha))))
 
 
 def test_parse_rejects_short_phi_naming_required_width():
     cfg = example1_config(phi={"kind": "coeffs", "values": [1.0, 0.0, 2.0]})
     required = cfg["nx"] + 2 * cfg["nt"] + 1
     with pytest.raises(ConfigError, match=str(required)):
-        parse_problem(json.dumps(cfg))
+        problem_from_config(decode_config(json.dumps(cfg)))
 
 
 def test_parse_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown"):
-        parse_problem(json.dumps(example1_config(extra=1)))
+        problem_from_config(decode_config(json.dumps(example1_config(extra=1))))
     cfg = example1_config()
     cfg["phi"] = {"kind": "ml_power", "m": 2, "shift": 3}
     with pytest.raises(ConfigError, match="unknown"):
-        parse_problem(json.dumps(cfg))
+        problem_from_config(decode_config(json.dumps(cfg)))
 
 
 def test_parse_has_no_silent_defaults():
@@ -92,38 +96,38 @@ def test_parse_has_no_silent_defaults():
         cfg = example1_config()
         del cfg[field]
         with pytest.raises(ConfigError, match="missing"):
-            parse_problem(json.dumps(cfg))
+            problem_from_config(decode_config(json.dumps(cfg)))
 
 
 def test_parse_rejects_malformed_json_with_location():
     with pytest.raises(ConfigError, match="line"):
-        parse_problem("{not json")
+        problem_from_config(decode_config("{not json"))
 
 
 def test_parse_rejects_non_integer_truncations():
     with pytest.raises(ConfigError):
-        parse_problem(json.dumps(example1_config(nt=2.5)))
+        problem_from_config(decode_config(json.dumps(example1_config(nt=2.5))))
     with pytest.raises(ConfigError):
-        parse_problem(json.dumps(example1_config(nx=True)))
+        problem_from_config(decode_config(json.dumps(example1_config(nx=True))))
 
 
 def test_parse_known_source_series():
     cfg = example1_config(f={"kind": "coeffs2d", "values": [[1.0, 0.0], [0.5]]})
-    spec = parse_problem(json.dumps(cfg))
+    spec = problem_from_config(decode_config(json.dumps(cfg)))
     assert not spec.self_coupled
     assert spec.f_series.levels == ((1.0, 0.0), (0.5,))
 
 
 def test_parse_known_p():
     cfg = example1_config(p={"kind": "coeffs", "values": [0.0, 0.0, -8.0]})
-    spec = parse_problem(json.dumps(cfg))
+    spec = problem_from_config(decode_config(json.dumps(cfg)))
     assert spec.p_known.coeffs.tolist() == [0.0, 0.0, -8.0]
 
 
 def test_parse_rejects_overlong_p():
     cfg = example1_config(p={"kind": "coeffs", "values": [0.0] * 7})  # kmax = 4
     with pytest.raises(ConfigError, match="kmax"):
-        parse_problem(json.dumps(cfg))
+        problem_from_config(decode_config(json.dumps(cfg)))
 
 
 @pytest.mark.parametrize(
@@ -139,7 +143,7 @@ def test_parse_rejects_overlong_p():
 )
 def test_generator_validation(field, generator):
     with pytest.raises(ConfigError):
-        parse_problem(json.dumps(example1_config(**{field: generator})))
+        problem_from_config(decode_config(json.dumps(example1_config(**{field: generator}))))
 
 
 def test_problem_spec_invariants():
@@ -159,6 +163,20 @@ def test_problem_spec_invariants():
                     f_series=BiFracSeries(FracOrders(1.0, 0.5), ((0.0,),)))
     with pytest.raises(ConfigError, match="p is expressed at a different beta"):
         ProblemSpec(orders, nt=4, nx=6, kmax=4, phi=phi, mu1=mu, mu2=mu, p_known=XSeries(0.5, (0.0,)))
+
+
+@pytest.mark.parametrize("width", [MAX_WIDTH, MAX_WIDTH + 1])
+def test_problem_spec_enforces_the_width_limit(width):
+    # past width 1030 the beta = 1 product weights are inf, and 0 * inf
+    # would end the march of this finite problem in a false overflow
+    spec = example_problem(1, 1.0, 1.0, nt=2, nx=8, kmax=2)
+    phi = XSeries(1.0, [1.0] + [0.0] * (width - 1))
+    if width > MAX_WIDTH:
+        with pytest.raises(ConfigError, match=f"len\\(phi\\) = {width} exceeds the march width limit 512"):
+            replace(spec, phi=phi)
+    else:
+        u = forward_march(replace(spec, phi=phi), XSeries(1.0, (0.0, 0.0, -8.0))).u
+        assert np.isfinite(u.array).all() and u.levels[1][2] == -8.0
 
 
 def test_example_problem_rejects_an_unknown_example():
