@@ -167,18 +167,19 @@ def _cmd_forward(args) -> int:
 def _cmd_invert(args) -> int:
     spec = _spec_from_args(args)
     report = _recover(spec, args.mode)
-    print(f"mode: {report.mode}")
+    lines = [f"mode: {report.mode}"]
     if report.lam is not None:
-        print(f"lambda: {report.lam:.10g}")
-    print(f"forward residual: {report.forward_residual:.4e}")
-    print(f"iterations: {report.iterations}")
-    print(f"converged: {'yes' if report.converged else 'no'}")
+        lines.append(f"lambda: {report.lam:.10g}")
+    lines += [f"forward residual: {report.forward_residual:.4e}",
+              f"iterations: {report.iterations}",
+              f"converged: {'yes' if report.converged else 'no'}"]
     if report.rank_deficient:
-        print("warning: Jacobian is rank deficient at the solution")
-    print(f"{'k':>4}  {'coefficient':>16}  {'monomial':>16}")
+        lines.append("warning: Jacobian is rank deficient at the solution")
+    lines.append(f"{'k':>4}  {'coefficient':>16}  {'monomial':>16}")
     rgamma = gamma_table(spec.orders.beta, len(report.p)).rgamma.tolist()
     for k, coeff in enumerate(report.p.coeffs.tolist()):
-        print(f"{k:>4}  {coeff:>16.10g}  {coeff * rgamma[k]:>16.10g}")
+        lines.append(f"{k:>4}  {coeff:>16.10g}  {coeff * rgamma[k]:>16.10g}")
+    sys.stdout.write("\n".join(lines) + "\n")  # one write: a print per line costs more
     if report.mode == "newton" and not report.converged:
         return 4
     return 0

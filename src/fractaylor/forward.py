@@ -149,7 +149,11 @@ def march_arrays(
         # order-beta derivative traces: a[i][1] at x = 0, sum_j a[i][j+1]/Gamma(j*beta+1) at x = 1
         rgamma = gamma_table(beta, width0).rgamma[:width0]
         traces = np.array((a[:, 1], a[:, 1:] @ rgamma))
-        jac = None if d is None else np.array((d[:, 1], rgamma @ d[:, 1:]))
+        jac = None
+        if d is not None:  # filled in place: np.array((row0, row1)) would copy both rows again
+            jac = np.empty((2, spec.nt + 1, len(p)))
+            jac[0] = d[:, 1]
+            np.matmul(rgamma, d[:, 1:], jac[1])
     return a, traces, jac
 
 
@@ -171,4 +175,4 @@ def residual_check(result: ForwardResult, spec: ProblemSpec) -> float:
         raise WidthError("no usable trace depth: traces and data share no entries")
     data = np.array((spec.mu1.coeffs[:usable], spec.mu2.coeffs[:usable]))
     with np.errstate(over="ignore"):  # far-apart finite entries differ by inf
-        return float(np.max(np.abs(result.traces[:, :usable] - data) / mismatch_scale(data)))
+        return float((abs(result.traces[:, :usable] - data) / mismatch_scale(data)).max())

@@ -41,6 +41,7 @@ Two routes are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +173,7 @@ def recover_newton(spec: ProblemSpec) -> RecoveryReport:
         p, march, *_ = _gauss_newton(spec, p, march, data[:, :d], scale[:, :d],
                                      WARMUP_TOL, WARMUP_MAX_ITER)
     p, march, it, jac = _gauss_newton(spec, p, march, data, scale, NEWTON_TOL, NEWTON_MAX_ITER)
-    rank_deficient = bool(np.all(np.isfinite(jac)) and np.linalg.matrix_rank(jac) < n)
+    rank_deficient = bool(np.isfinite(jac).all() and np.linalg.matrix_rank(jac) < n)
     p_series = XSeries(spec.orders.beta, p)
     return _report(spec, p_series, _forward_result(spec, *march[:2]), "newton", it, rank_deficient)
 
@@ -204,7 +205,7 @@ def _read_march(
     _, traces, jac = march
     depth = data.shape[1]
     jac = (jac[:, 1 : depth + 1] * scale[:, :, None]).reshape(data.size, -1)
-    if not np.all(np.isfinite(traces)):
+    if not np.isfinite(traces).all():
         return np.full(data.size, np.inf), np.full_like(jac, np.inf)
     return ((traces[:, 1 : depth + 1] - data) * scale).reshape(-1), jac
 
@@ -213,27 +214,31 @@ def _gauss_newton(
     spec: ProblemSpec, p: np.ndarray, march: tuple, data: np.ndarray, scale: np.ndarray,
     tol: float, max_iter: int,
 ) -> tuple[np.ndarray, tuple, int, np.ndarray]:
-    """From p and its tangent march to (last iterate, its march, steps, Jacobian)."""
+    """From p and its tangent march to (last iterate, its march, steps, Jacobian).
+
+    The 2-norms are the expressions `np.linalg.norm` evaluates for a vector
+    and for the columns of a matrix, without its wrapper's cost per call.
+    """
     r, jac = _read_march(march, data, scale)
     it = 0
     # a finite trial mismatch may still overflow its norm: inf is not < best
     with np.errstate(over="ignore"):
         while it < max_iter:
-            if np.max(np.abs(r)) <= tol or not np.all(np.isfinite(jac)):
+            if abs(r).max() <= tol or not np.isfinite(jac).all():
                 break
-            col_scale = np.linalg.norm(jac, axis=0)
+            col_scale = np.sqrt(np.add.reduce(jac * jac, axis=0))
             col_scale[col_scale == 0.0] = 1.0
             y, *_ = np.linalg.lstsq(jac / col_scale, -r, rcond=None)
             step = y / col_scale
-            best = np.linalg.norm(r)
+            best = math.sqrt(r.dot(r))
             s = 1.0
             for _ in range(31):
                 candidate = p + s * step
-                if np.array_equal(candidate, p):  # every smaller s rounds to p: the search fails
+                if (candidate == p).all():  # every smaller s rounds to p: the search fails
                     break
                 trial = march_arrays(spec, candidate, tangent=True)
                 r_new, jac_new = _read_march(trial, data, scale)
-                if np.linalg.norm(r_new) < best:
+                if math.sqrt(r_new.dot(r_new)) < best:
                     p, march, r, jac = candidate, trial, r_new, jac_new
                     break
                 s *= 0.5

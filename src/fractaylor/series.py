@@ -152,8 +152,8 @@ class BiFracSeries:
         return series
 
     def _adopt(self, orders: FracOrders, array: np.ndarray, sizes: tuple[int, ...]) -> None:
-        valid = np.isfinite(array).all(axis=1) & (np.array(sizes) > 0)
-        if not valid.all():
+        if not (min(sizes) > 0 and np.isfinite(array).all()):  # name the first bad level
+            valid = np.isfinite(array).all(axis=1) & (np.array(sizes) > 0)
             i = int(valid.argmin())
             problem = "is empty" if sizes[i] == 0 else "contains non-finite coefficients"
             raise ValueError(f"time level {i} {problem}")

@@ -343,7 +343,7 @@ def recovery_bits(report):
     "case, beta",
     [(e, beta) for e in EXAMPLES for beta in (1.0, 0.9, 0.7)]
     + [(name, None) for name in ("newton_pool_self_k4", "newton_pool_known_k2",
-                                 "newton_stall_10_16_4")],
+                                 "newton_pool_self_k3_linesearch", "newton_stall_10_16_4")],
 )
 def test_recovery_does_not_read_alpha(case, beta):
     # table solves once per beta and relabels the solution for each alpha;
@@ -703,6 +703,9 @@ def test_table_output_matches_golden_file(capsys, golden, argv):
         ("newton_pool_self_k4", 0),
         # a roundtrip instance with a known coeffs2d source, kmax = 2
         ("newton_pool_known_k2", 0),
+        # the pool's heaviest solve, self-coupled at kmax = 3, beta = 0.9: 27
+        # marches, nine of them rejected line-search trials
+        ("newton_pool_self_k3_linesearch", 0),
         # alpha = beta = 0.7, (nt, nx, kmax) = (10, 16, 4): the fit stalls
         ("newton_stall_10_16_4", 4),
         # a zero known source at (2, 4, 2): the traces do not depend on p, so

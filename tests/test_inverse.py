@@ -525,6 +525,19 @@ def test_newton_self_coupled_source_warms_up_through_every_depth(solver_log):
             assert solver_log["gauss_newton"] == depth > 1
 
 
+def test_newton_pool_heaviest_solve_does_a_fixed_amount_of_work(solver_log):
+    # the pool's heaviest solve (kmax = 3, beta = 0.9, self-coupled): four
+    # warm-up depths and the full-depth loop, 17 accepted steps and nine
+    # rejected line-search trials; a faster solve must make the same calls
+    text = (Path(__file__).parent / "data" / "newton_pool_self_k3_linesearch.json").read_text()
+    report = recover_newton(problem_from_config(decode_config(text)))
+    assert solver_log == {
+        "tangent march": 27, "tangent march at 0": 1, "lstsq": 17, "gauss_newton": 5,
+    }
+    assert report.converged
+    assert report.iterations == 1
+
+
 @st.composite
 def exactly_separable_specs(draw):
     """Separable data on a random positive phi whose last two entries vanish.
